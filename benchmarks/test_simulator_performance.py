@@ -1,4 +1,4 @@
-"""Meta-benchmark: the simulator's own speed (events/sec, packets/sec).
+"""Meta-benchmark: the simulator's own speed (kernel wall time, packets/sec).
 
 Unlike the figure benchmarks (one deterministic simulation run each),
 these use pytest-benchmark's statistical machinery properly — multiple
@@ -52,12 +52,14 @@ def _calibration_seconds() -> float:
 def test_simkernel_event_throughput(benchmark):
     simulated_ns, events = benchmark.pedantic(
         kernel_workload, rounds=5, iterations=1, warmup_rounds=1)
-    assert simulated_ns > 0   # simulated time advanced
-    assert events > 10_000    # the workload actually churned the kernel
+    # The fixed chain: same work and end time whatever the kernel skips.
+    assert simulated_ns == 5009
+    assert events > 0
 
-    # ~12k scheduled / ~36k processed events must cost no more than ~2x a
-    # million trivial loop iterations — i.e. a few hundred ns per event.
-    # (Post-overhaul the ratio is ~0.4; the baseline kernel sat near 0.9.)
+    # The chain (8k scheduled events since in-place completion, 12k
+    # before) must cost no more than ~2x a million trivial loop
+    # iterations.  (Post-overhaul the ratio is ~0.4; the baseline kernel
+    # sat near 0.9.)
     assert benchmark.stats.stats.mean < 2.0 * _calibration_seconds()
 
 
@@ -135,8 +137,11 @@ def test_selfperf_baseline_regenerated():
     """
     current = measure(repeats=3)
     document = build_document(current)
-    # The workloads are deterministic: counts must match the frozen baseline.
-    assert current["kernel"]["events"] == document["baseline"]["kernel"]["events"]
+    # The workloads are deterministic: the kernel chain must reach the
+    # frozen baseline's simulated end time (its event count may fall as
+    # the kernel skips events), and the stack its packet count.
+    assert current["kernel"]["simulated_ns"] == \
+        document["baseline"]["kernel"]["simulated_ns"]
     assert current["stack"]["packets"] == document["baseline"]["stack"]["packets"]
 
     root = Path(__file__).resolve().parent.parent

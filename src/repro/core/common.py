@@ -25,7 +25,7 @@ from repro.hardware.bus import IoBus
 from repro.hardware.cpu import HostCpu
 from repro.hardware.fabric import Fabric
 from repro.hardware.nic import Nic
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader
+from repro.hardware.packet import CONTROL, FIRST, HEADER_BYTES, LAST, Packet, PacketHeader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
@@ -219,22 +219,26 @@ class FmEndpoint:
             self._credits[dest] = new
 
     def acquire_credit(self, dest: int) -> Generator:
-        """Spend one credit toward ``dest``, spinning until one is available."""
+        """Spend one credit toward ``dest``, spinning until one is available.
+
+        The stall limit is checked against simulated time since the spin
+        began, so it covers the ``stall_hook`` (e.g. MPI progress) and any
+        ``CpuSlow`` stretch of the poll — not just the nominal poll and
+        spin costs.
+        """
         obs = self.env.obs
         t0 = self.env.now
-        waited = 0
         stalled = False
         while self.credits_available(dest) == 0:
             if not stalled:
                 stalled = True
                 self.stats_credit_stalls += 1
             yield from self.cpu.poll()
-            waited += self.cpu.params.poll_ns
             if self.params.credit_spin_ns:
                 yield self.env.timeout(self.params.credit_spin_ns)
-                waited += self.params.credit_spin_ns
             if self.stall_hook is not None:
                 yield from self.stall_hook()
+            waited = self.env.now - t0
             if waited > self.params.stall_limit_ns:
                 raise FmStalledError(
                     f"node {self.node_id} stalled {waited} ns waiting for "
@@ -253,7 +257,7 @@ class FmEndpoint:
 
     # -- packet construction and injection -----------------------------------------
     def make_header(self, dest: int, handler_id: int, msg_id: int, seq: int,
-                    msg_bytes: int, flags: PacketFlags) -> PacketHeader:
+                    msg_bytes: int, flags: int) -> PacketHeader:
         return PacketHeader(
             src=self.node_id, dest=dest, handler_id=handler_id,
             msg_id=msg_id, seq=seq, msg_bytes=msg_bytes, flags=flags,
@@ -302,7 +306,7 @@ class FmEndpoint:
         self._pending_returns[src] = 0
         header = self.make_header(
             dest=src, handler_id=0, msg_id=0, seq=0, msg_bytes=0,
-            flags=PacketFlags.CONTROL | PacketFlags.FIRST | PacketFlags.LAST,
+            flags=CONTROL | FIRST | LAST,
         )
         header.credit_return = pending
         packet = Packet(header, b"")

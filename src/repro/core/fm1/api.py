@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import Packet, PacketFlags
+from repro.hardware.packet import FIRST, LAST, Packet
 
 from repro.core.common import FmCorruptionError, FmEndpoint, FmProtocolError
 
@@ -73,11 +73,9 @@ class FM1(FmEndpoint):
             # synchronously (before any yield), which is the one send-side copy.
             chunk = buf.view(offset + sent, take)
             sent += take
-            flags = PacketFlags.NONE
-            if seq == 0:
-                flags |= PacketFlags.FIRST
+            flags = FIRST if seq == 0 else 0
             if seq == n_packets - 1:
-                flags |= PacketFlags.LAST
+                flags |= LAST
             header = self.make_header(dest, handler_id, msg_id, seq, size, flags)
             packet = Packet(header, chunk)
             yield from self.cpu.per_packet()
@@ -104,7 +102,7 @@ class FM1(FmEndpoint):
         msg_id = self.alloc_msg_id(dest)
         header = self.make_header(
             dest, handler_id, msg_id, 0, SEND4_BYTES,
-            PacketFlags.FIRST | PacketFlags.LAST,
+            FIRST | LAST,
         )
         packet = Packet(header, words)
         obs = self.env.obs

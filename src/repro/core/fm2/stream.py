@@ -22,7 +22,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags
+from repro.hardware.packet import FIRST, HEADER_BYTES, LAST, Packet
 
 from repro.core.common import FmProtocolError
 
@@ -116,11 +116,9 @@ class SendStream:
         self.closed = True
 
     def _emit(self, payload: bytes, last: bool) -> Generator:
-        flags = PacketFlags.NONE
-        if self.next_seq == 0:
-            flags |= PacketFlags.FIRST
+        flags = FIRST if self.next_seq == 0 else 0
         if last:
-            flags |= PacketFlags.LAST
+            flags |= LAST
             self._last_emitted = True
         header = self.fm.make_header(
             self.dest, self.handler_id, self.msg_id, self.next_seq,

@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.hardware.memory import Buffer
 from repro.hardware.nic import RDMA_MTU, RdmaCompletion
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader
+from repro.hardware.packet import (
+    FIRST, HEADER_BYTES, LAST, RDMA_READ_REQ, RDMA_WRITE, Packet, PacketHeader)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -116,11 +117,11 @@ class RdmaEndpoint:
         while offset < nbytes:
             chunk = min(self.mtu, nbytes - offset)
             yield from self.nic.tx_dma.transfer(HEADER_BYTES + chunk)
-            flags = PacketFlags.RDMA_WRITE
+            flags = RDMA_WRITE
             if seq == 0:
-                flags |= PacketFlags.FIRST
+                flags |= FIRST
             if seq == last_seq:
-                flags |= PacketFlags.LAST
+                flags |= LAST
             packet = Packet(
                 PacketHeader(src=self.node_id, dest=dest, handler_id=0,
                              msg_id=op_id, seq=seq, msg_bytes=nbytes,
@@ -154,8 +155,7 @@ class RdmaEndpoint:
         request = Packet(
             PacketHeader(src=self.node_id, dest=dest, handler_id=0,
                          msg_id=op_id, seq=0, msg_bytes=nbytes,
-                         flags=(PacketFlags.RDMA_READ_REQ
-                                | PacketFlags.FIRST | PacketFlags.LAST),
+                         flags=RDMA_READ_REQ | FIRST | LAST,
                          rkey=rkey, roffset=remote_offset),
             b"")
         yield from self.bus.pio_write(self.cpu, HEADER_BYTES)

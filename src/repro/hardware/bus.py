@@ -1,6 +1,6 @@
 """The host I/O bus (SBus on the Sparc testbed, PCI on the Pentium Pro).
 
-A single arbiter (capacity-1 resource) is shared by:
+A single arbiter (a capacity-1 lock) is shared by:
 
 * **PIO writes** — the CPU pushing send data into NIC SRAM.  PIO occupies
   *both* the CPU and the bus for the duration; this coupling is why send-side
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.simkernel.resources import Resource
+from repro.simkernel.resources import Lock
 from repro.simkernel.units import transfer_time_ns
 
 from repro.hardware.cpu import HostCpu
@@ -32,7 +32,7 @@ class IoBus:
         self.env = env
         self.params = params
         self.name = name
-        self.arbiter = Resource(env, capacity=1, name=f"{name}.arbiter")
+        self.arbiter = Lock(env, name=f"{name}.arbiter")
         #: Total bytes moved by each mechanism (for utilisation reports).
         self.pio_bytes: int = 0
         self.dma_bytes: int = 0
@@ -43,25 +43,33 @@ class IoBus:
         if nbytes < 0:
             raise ValueError(f"negative PIO size: {nbytes}")
         cost = self.params.pio_startup_ns + transfer_time_ns(nbytes, self.params.pio_bw)
-        with cpu.lock.request() as cpu_req:
-            yield cpu_req
-            with self.arbiter.request() as bus_req:
-                yield bus_req
+        cpu_lock, arbiter = cpu.lock, self.arbiter
+        yield cpu_lock.acquire()
+        try:
+            yield arbiter.acquire()
+            try:
                 yield self.env.timeout(cost)
                 self.pio_bytes += nbytes
                 self.busy_ns += cost
                 cpu.busy_ns += cost
+            finally:
+                arbiter.release()
+        finally:
+            cpu_lock.release()
 
     def dma_transfer(self, nbytes: int) -> Generator:
         """DMA ``nbytes`` across the bus (bus only; CPU stays free)."""
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
         cost = self.params.dma_startup_ns + transfer_time_ns(nbytes, self.params.dma_bw)
-        with self.arbiter.request() as bus_req:
-            yield bus_req
+        arbiter = self.arbiter
+        yield arbiter.acquire()
+        try:
             yield self.env.timeout(cost)
             self.dma_bytes += nbytes
             self.busy_ns += cost
+        finally:
+            arbiter.release()
 
     def pio_cost(self, nbytes: int) -> int:
         return self.params.pio_startup_ns + transfer_time_ns(nbytes, self.params.pio_bw)

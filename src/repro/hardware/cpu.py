@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.simkernel.resources import Resource
+from repro.simkernel.resources import Lock
 from repro.simkernel.units import transfer_time_ns
 
 from repro.hardware.memory import Buffer, CopyMeter, copy_bytes
@@ -32,7 +32,7 @@ class HostCpu:
         self.env = env
         self.params = params
         self.name = name
-        self.lock = Resource(env, capacity=1, name=f"{name}.lock")
+        self.lock = Lock(env, name=f"{name}.lock")
         self.meter = CopyMeter()
         #: Total busy nanoseconds (for utilisation reporting).
         self.busy_ns: int = 0
@@ -50,10 +50,13 @@ class HostCpu:
         faults = self.env.faults
         if faults is not None:
             cost_ns = faults.cpu_cost(self.name, cost_ns)
-        with self.lock.request() as req:
-            yield req
+        lock = self.lock
+        yield lock.acquire()
+        try:
             yield self.env.timeout(cost_ns)
             self.busy_ns += cost_ns
+        finally:
+            lock.release()
 
     # -- cost-model operations ------------------------------------------------
     def memcpy(self, src: Buffer, src_off: int, dst: Buffer, dst_off: int,

@@ -2,7 +2,7 @@
 
 A :class:`DmaEngine` represents one hardware DMA channel on the NIC (one for
 each direction).  Transfers on one engine are strictly serial (the engine is
-a capacity-1 resource); the engine contends with PIO and the other engine at
+a capacity-1 lock); the engine contends with PIO and the other engine at
 the bus arbiter inside :meth:`IoBus.dma_transfer`.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.simkernel.resources import Resource
+from repro.simkernel.resources import Lock
 
 from repro.hardware.bus import IoBus
 
@@ -25,7 +25,7 @@ class DmaEngine:
         self.env = env
         self.bus = bus
         self.name = name
-        self.channel = Resource(env, capacity=1, name=f"{name}.channel")
+        self.channel = Lock(env, name=f"{name}.channel")
         #: Transfers/bytes *admitted* to the engine (counted when the
         #: descriptor is posted, before the channel or bus is acquired) —
         #: so a transfer still crossing the bus when a fault window closes
@@ -40,10 +40,13 @@ class DmaEngine:
         """Move ``nbytes`` across the bus on this channel."""
         self.transfers += 1
         self.bytes += nbytes
-        with self.channel.request() as req:
-            yield req
+        channel = self.channel
+        yield channel.acquire()
+        try:
             yield from self.bus.dma_transfer(nbytes)
             self.completed += 1
+        finally:
+            channel.release()
 
     @property
     def in_flight(self) -> int:

@@ -35,7 +35,7 @@ import numpy as np
 from repro.simkernel.store import Store
 from repro.simkernel.units import transfer_time_ns
 
-from repro.hardware.packet import Packet, PacketFlags
+from repro.hardware.packet import CORRUPT, Packet
 from repro.hardware.params import LinkParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,7 +131,7 @@ class Link:
             bits = packet.wire_bytes * 8
             p_error = 1.0 - (1.0 - params.bit_error_rate) ** bits
             if self._rng.random() < p_error:
-                packet.header.flags |= PacketFlags.CORRUPT
+                packet.header.flags |= CORRUPT
                 self.corrupted += 1
         faults = self.env.faults
         if faults is not None and not dropped:
@@ -139,9 +139,9 @@ class Link:
             if fate == "drop":
                 dropped = True
             elif fate == "corrupt":
-                if not packet.header.flags & PacketFlags.CORRUPT:
+                if not packet.header.flags & CORRUPT:
                     self.corrupted += 1
-                packet.header.flags |= PacketFlags.CORRUPT
+                packet.header.flags |= CORRUPT
         if dropped:
             self.dropped += 1
             obs = self.env.obs

@@ -58,7 +58,9 @@ from repro.hardware.bus import IoBus
 from repro.hardware.dma import DmaEngine
 from repro.hardware.link import Link
 from repro.hardware.memory import Buffer
-from repro.hardware.packet import HEADER_BYTES, Packet, PacketFlags, PacketHeader
+from repro.hardware.packet import (
+    COLLECTIVE, CONTROL, FIRST, HEADER_BYTES, LAST, RDMA_FLAGS, RDMA_READ_REQ,
+    RDMA_READ_RESP, RDMA_WRITE, Packet, PacketHeader)
 from repro.hardware.params import NicParams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -381,7 +383,8 @@ class Nic:
                 stall = faults.nic_stall_ns(self.node_id, self.name, "rx")
                 if stall:
                     yield self.env.timeout(stall)
-            if packet.header.is_control:
+            flags = packet.header.flags
+            if flags & CONTROL:
                 if not packet.crc_ok():
                     # A damaged credit return must be discarded, not
                     # absorbed: its count is untrustworthy, and crediting
@@ -407,10 +410,10 @@ class Nic:
                              ctx=packet.trace,
                              credits=packet.header.credit_return)
                 continue
-            if packet.header.is_rdma:
+            if flags & RDMA_FLAGS:
                 yield from self._rx_rdma(packet, t0)
                 continue
-            if packet.header.is_collective:
+            if flags & COLLECTIVE:
                 self._rx_collective(packet, t0)
                 continue
             yield from self.recv_dma.transfer(packet.wire_bytes)
@@ -448,7 +451,7 @@ class Nic:
                          src=header.src, seq=header.seq)
             return
         flags = header.flags
-        if flags & PacketFlags.RDMA_WRITE:
+        if flags & RDMA_WRITE:
             region = self.regions.get(header.rkey)
             if region is None or header.roffset + len(packet.payload) > region.size:
                 self.rdma_unmatched += 1
@@ -468,7 +471,7 @@ class Nic:
                          rkey=header.rkey, seq=header.seq,
                          bytes=packet.wire_bytes)
             return
-        if flags & PacketFlags.RDMA_READ_REQ:
+        if flags & RDMA_READ_REQ:
             # Serve the read in its own firmware process so a long pull
             # never parks the receive loop.
             self.env.process(
@@ -522,11 +525,11 @@ class Nic:
             chunk = min(RDMA_MTU, nbytes - offset)
             yield self.env.timeout(self.params.rdma_match_ns)
             yield from self.tx_dma.transfer(HEADER_BYTES + chunk)
-            flags = PacketFlags.RDMA_READ_RESP
+            flags = RDMA_READ_RESP
             if seq == 0:
-                flags |= PacketFlags.FIRST
+                flags |= FIRST
             if seq == last_seq:
-                flags |= PacketFlags.LAST
+                flags |= LAST
             reply = Packet(
                 PacketHeader(src=self.node_id, dest=header.src,
                              handler_id=0, msg_id=header.msg_id, seq=seq,
@@ -588,8 +591,7 @@ class Nic:
                 PacketHeader(src=me, dest=(me + step) % n,
                              handler_id=COLL_BARRIER, msg_id=state.coll_id,
                              seq=k, msg_bytes=0,
-                             flags=(PacketFlags.COLLECTIVE
-                                    | PacketFlags.FIRST | PacketFlags.LAST)),
+                             flags=COLLECTIVE | FIRST | LAST),
                 b"")
             yield from self._fw_inject(packet)
             while state.arrived.get(k, 0) == 0:
@@ -656,11 +658,11 @@ class Nic:
 
     def _bcast_packet(self, state: _CollState, dest: int, seq: int,
                       last_seq: int, offset: int, data) -> Packet:
-        flags = PacketFlags.COLLECTIVE
+        flags = COLLECTIVE
         if seq == 0:
-            flags |= PacketFlags.FIRST
+            flags |= FIRST
         if seq == last_seq:
-            flags |= PacketFlags.LAST
+            flags |= LAST
         return Packet(
             PacketHeader(src=self.node_id, dest=dest, handler_id=COLL_BCAST,
                          msg_id=state.coll_id, seq=seq,

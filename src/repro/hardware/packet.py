@@ -48,11 +48,21 @@ class PacketFlags(IntFlag):
     # generated and absorbed inside the firmware loops, like CONTROL.
     COLLECTIVE = 256
 
-    @property
-    def is_rdma(self) -> bool:
-        return bool(self & (PacketFlags.RDMA_WRITE
-                            | PacketFlags.RDMA_READ_REQ
-                            | PacketFlags.RDMA_READ_RESP))
+
+# Plain-int masks of the same bits, for the per-packet paths.  ``IntFlag``
+# arithmetic dispatches through ``enum``'s ``__and__``/``__or__``/
+# ``__call__``/``__new__`` on every test or combination; the hot builders
+# therefore store plain ints in ``PacketHeader.flags`` and every predicate
+# tests ints (a ``PacketFlags`` value, being an int, still works anywhere).
+FIRST = PacketFlags.FIRST.value
+LAST = PacketFlags.LAST.value
+CONTROL = PacketFlags.CONTROL.value
+CORRUPT = PacketFlags.CORRUPT.value
+RDMA_WRITE = PacketFlags.RDMA_WRITE.value
+RDMA_READ_REQ = PacketFlags.RDMA_READ_REQ.value
+RDMA_READ_RESP = PacketFlags.RDMA_READ_RESP.value
+COLLECTIVE = PacketFlags.COLLECTIVE.value
+RDMA_FLAGS = RDMA_WRITE | RDMA_READ_REQ | RDMA_READ_RESP
 
 
 @dataclass
@@ -76,7 +86,7 @@ class PacketHeader:
     msg_id: int
     seq: int
     msg_bytes: int
-    flags: PacketFlags = PacketFlags.NONE
+    flags: int = 0   # PacketFlags bits, usually stored as a plain int
     credit_return: int = 0
     rkey: int = 0
     roffset: int = 0
@@ -91,23 +101,23 @@ class PacketHeader:
 
     @property
     def is_first(self) -> bool:
-        return bool(self.flags & PacketFlags.FIRST)
+        return self.flags & FIRST != 0
 
     @property
     def is_last(self) -> bool:
-        return bool(self.flags & PacketFlags.LAST)
+        return self.flags & LAST != 0
 
     @property
     def is_control(self) -> bool:
-        return bool(self.flags & PacketFlags.CONTROL)
+        return self.flags & CONTROL != 0
 
     @property
     def is_rdma(self) -> bool:
-        return self.flags.is_rdma
+        return self.flags & RDMA_FLAGS != 0
 
     @property
     def is_collective(self) -> bool:
-        return bool(self.flags & PacketFlags.COLLECTIVE)
+        return self.flags & COLLECTIVE != 0
 
 
 @dataclass
@@ -160,7 +170,8 @@ class Packet:
         return len(self.payload)
 
     def crc_ok(self) -> bool:
-        return not (self.header.flags & PacketFlags.CORRUPT) and compute_crc(self.payload) == self.crc
+        return (not self.header.flags & CORRUPT
+                and compute_crc(self.payload) == self.crc)
 
     def stamp(self, location: str, time_ns: int) -> None:
         """Record a waypoint on this packet's journey."""
@@ -169,7 +180,7 @@ class Packet:
     def __repr__(self) -> str:
         h = self.header
         return (f"<Packet {h.src}->{h.dest} msg={h.msg_id} seq={h.seq} "
-                f"{len(self.payload)}B flags={h.flags!r}>")
+                f"{len(self.payload)}B flags={PacketFlags(h.flags)!r}>")
 
 
 def compute_crc(payload: bytes) -> int:

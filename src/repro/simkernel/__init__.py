@@ -11,7 +11,7 @@ the Fast Messages reproduction:
   of its inputs;
 * **generator processes** — hosts, NIC firmware loops, DMA engines and user
   programs are written as generators that ``yield`` events;
-* **resources and stores** — model exclusive devices (a host CPU, a DMA
+* **locks and stores** — model exclusive devices (a host CPU, a DMA
   engine) and bounded queues (NIC packet slots, link slots) with blocking
   semantics, which is how link-level back-pressure is expressed.
 
@@ -48,7 +48,7 @@ from repro.simkernel.events import (
 )
 from repro.simkernel.process import Process
 from repro.simkernel.env import Environment
-from repro.simkernel.resources import PriorityResource, Request, Resource
+from repro.simkernel.resources import Lock, PriorityResource, Request, Resource
 from repro.simkernel.store import Store
 from repro.simkernel.units import MICROSECOND, MILLISECOND, NANOSECOND, SECOND, us, ms, ns_to_us, s
 
@@ -59,6 +59,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
+    "Lock",
     "MICROSECOND",
     "MILLISECOND",
     "NANOSECOND",

@@ -13,6 +13,22 @@ Two execution paths share one event ordering:
 Both paths pop the same heap in the same order, so simulated results are
 bit-identical whichever drives the run — ``tests/test_determinism.py``
 compares full (time, seq, priority) traces across the two.
+
+**In-place completion.**  While an event's only callback is one process
+(the dominant dispatch), that process's code is the last thing the dispatch
+runs.  If it then asks for an event that would be scheduled *now* and
+nothing else is due now (:meth:`Environment._fires_next`: the immediate
+queue is empty and no heap entry is at the current instant), that event is
+provably the next to fire, and its only possible waiter is this process.
+:class:`~repro.simkernel.resources.Lock` grants and the
+:class:`~repro.simkernel.store.Store` fast paths then return it already
+fired instead of scheduling it, and both loops continue the generator
+inline when it is yielded.  Skipping an event that fires next shifts every
+later sequence number by one, so the (time, priority, seq) order of every
+remaining event — and with it every simulated result — is unchanged.  The
+rule assumes the caller yields the returned event (at once or later); a
+condition built over it, or a higher-priority event scheduled at ``now``,
+in the same step would see it fire early.  No model code does either.
 """
 
 from __future__ import annotations
@@ -38,6 +54,10 @@ from repro.simkernel.events import (
 from repro.simkernel.process import Process
 
 _PENDING = Event._PENDING
+#: ``callbacks`` stand-in for a yielded object that is not an event.
+_NOT_AN_EVENT = object()
+#: ``until_time`` of an untimed drain: later than any reachable instant.
+_FOREVER = sys.maxsize
 
 
 class Environment:
@@ -48,13 +68,17 @@ class Environment:
     of the model — there is no dependence on hash ordering or wall-clock.
     """
 
-    __slots__ = ("_now", "_heap", "_imm", "_seq", "_active_process",
-                 "_active_processes", "trace", "last_key", "obs", "faults")
+    __slots__ = ("now", "_heap", "_imm", "_seq", "_active_process",
+                 "_active_processes", "_inplace", "_fired", "trace",
+                 "last_key", "obs", "faults")
 
     def __init__(self, initial_time: int = 0):
         if not isinstance(initial_time, int) or initial_time < 0:
             raise ValueError(f"initial_time must be a non-negative int, got {initial_time!r}")
-        self._now: int = initial_time
+        #: Current simulated time in nanoseconds.  A plain slot (not a
+        #: property): model code reads it on nearly every operation, and
+        #: only the run loops write it.
+        self.now: int = initial_time
         self._heap: list[tuple[int, int, Event]] = []
         #: FIFO of ``(key, event)`` pairs scheduled for *now* at normal
         #: priority — the dominant schedule (every succeed).  Appending here
@@ -64,6 +88,17 @@ class Environment:
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._active_processes: int = 0
+        #: True while the dispatch in progress is a lone process resume
+        #: whose end is followed directly by the next pop (see
+        #: :meth:`_fires_next`); False everywhere else.
+        self._inplace: bool = False
+        #: The shared already-fired event that in-place lock grants return
+        #: (value ``None``); store fast paths fire their own events in place.
+        fired = Event(self)
+        fired.callbacks = None
+        fired._value = None
+        fired._triggered = fired._processed = True
+        self._fired = fired
         #: Optional hook called as ``trace(time, event)`` before each event
         #: fires.  While it runs, :attr:`last_key` holds the fired event's
         #: packed (priority, seq) heap key.
@@ -85,11 +120,6 @@ class Environment:
         self.faults: Optional[Any] = None
 
     # -- clock ---------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
@@ -141,11 +171,11 @@ class Environment:
             self._seq = seq
             if delay:
                 heappush(self._heap,
-                         (self._now + delay, (priority << SEQ_BITS) + seq, timeout))
+                         (self.now + delay, (priority << SEQ_BITS) + seq, timeout))
             elif priority == PRIORITY_NORMAL:
                 self._imm.append(((PRIORITY_NORMAL << SEQ_BITS) + seq, timeout))
             else:
-                heappush(self._heap, (self._now, (priority << SEQ_BITS) + seq, timeout))
+                heappush(self._heap, (self.now, (priority << SEQ_BITS) + seq, timeout))
             return timeout
         # Cold path: fresh allocation, with full argument validation.
         return Timeout(self, delay, value, priority)
@@ -170,13 +200,28 @@ class Environment:
             self._imm.append(((PRIORITY_NORMAL << SEQ_BITS) + self._seq, event))
             return
         heappush(self._heap,
-                 (self._now + delay, (priority << SEQ_BITS) + self._seq, event))
+                 (self.now + delay, (priority << SEQ_BITS) + self._seq, event))
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if nothing is queued."""
         if self._imm:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else None
+
+    def _fires_next(self) -> bool:
+        """Would an event succeeded now, at normal priority, fire next?
+
+        True only inside a lone-process dispatch (nothing else runs before
+        the next pop), with the immediate queue empty and no heap entry at
+        the current instant.  Such an event may be completed in place (see
+        the module docstring); this is the single check every in-place
+        site consults, so patching it to ``False`` restores plain
+        scheduling everywhere.
+        """
+        if not self._inplace or self._imm:
+            return False
+        heap = self._heap
+        return not heap or heap[0][0] != self.now
 
     def step(self) -> None:
         """Fire exactly one event (the earliest) — the reference path.
@@ -184,31 +229,37 @@ class Environment:
         The next event is the smaller of the heap head and the immediate
         queue head (immediate entries are all at the current time; a heap
         entry wins only if it is at the current time with a smaller key).
-        This merge rule is shared verbatim with the drain loops, so both
-        paths fire events in the same order.
+        This merge rule is shared verbatim with the drain loop, so both
+        paths fire events in the same order; a lone-process dispatch allows
+        in-place completion here exactly as it does there (so code run
+        between two steps sees that process already past such events).
         """
         imm = self._imm
         if imm:
             heap = self._heap
-            if heap and heap[0][0] == self._now and heap[0][1] < imm[0][0]:
+            if heap and heap[0][0] == self.now and heap[0][1] < imm[0][0]:
                 when, key, event = heappop(heap)
             else:
-                when = self._now
+                when = self.now
                 key, event = imm.popleft()
         elif self._heap:
             when, key, event = heappop(self._heap)
         else:
             raise SimulationError("step() on an empty event heap")
-        if when < self._now:  # pragma: no cover - guarded by schedule()
+        if when < self.now:  # pragma: no cover - guarded by schedule()
             raise SimulationError("event heap corrupted: time went backwards")
-        self._now = when
+        self.now = when
         if self.trace is not None:
             self.last_key = key
             self.trace(when, event)
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
-        for callback in callbacks:
-            callback(event)
+        self._inplace = len(callbacks) == 1 and callbacks[0].__class__ is Process
+        try:
+            for callback in callbacks:
+                callback(event)
+        finally:
+            self._inplace = False
         if not event._ok and not event._defused:
             exc = event._value
             raise exc
@@ -229,8 +280,9 @@ class Environment:
         return fired
 
     # -- the drain loop ---------------------------------------------------------
-    def _drain(self, target: Optional[Event]) -> None:
-        """Fire events until the heap empties or ``target`` is processed.
+    def _drain(self, target: Optional[Event], until_time: int) -> None:
+        """Fire events until the heap empties, ``target`` is processed, or
+        the next event lies beyond ``until_time``.
 
         This is ``step()`` unrolled into ``run()``'s inner loop: no per-event
         function call, a single ``trace`` check per event (hoisted from the
@@ -238,15 +290,18 @@ class Environment:
         order is identical to repeated ``step()`` calls by construction —
         both pop the same heap.
 
-        ``target`` is detected by identity *after* it fires (events become
-        processed only by being popped here, so ``event is target`` is exactly
-        the old "peek at ``target._processed``" check, one compare cheaper).
-        ``target=None`` runs to quiescence.
+        ``target`` is detected by identity (events become processed only by
+        being popped here); ``target=None`` runs to quiescence.  Its own
+        dispatch disallows in-place completion: ``run()`` returns right
+        after it, so the next pop is not guaranteed.  Immediate entries
+        never pass ``until_time`` (they are at the current instant, which
+        ``run()`` has already bounds-checked), so only heap pops test it.
         """
         heap = self._heap
         imm = self._imm
         getrefcount = sys.getrefcount
-        now = self._now
+        now = self.now
+        self._inplace = True
         while True:
             if imm:
                 # Immediate entries are all at the current instant; a heap
@@ -257,8 +312,10 @@ class Environment:
                 else:
                     key, event = imm.popleft()
             elif heap:
+                if heap[0][0] > until_time:
+                    return
                 now, key, event = heappop(heap)
-                self._now = now
+                self.now = now
             else:
                 return
             trace = self.trace
@@ -268,57 +325,80 @@ class Environment:
             callbacks = event.callbacks
             event.callbacks = None
             event._processed = True
-            if len(callbacks) == 1:
+            if event is target:
+                self._inplace = False
+            if len(callbacks) == 1 and callbacks[0].__class__ is Process:
+                # Dominant case: exactly one waiting process.  Drive its
+                # generator right here — a faithful inline of
+                # Process._resume, minus the per-event call frame — and keep
+                # driving it while it yields events that have already fired
+                # (completed in place, or long ago).
                 cb = callbacks[0]
-                if cb.__class__ is Process:
-                    # Dominant case: exactly one waiting process.  Drive its
-                    # generator right here — a faithful inline of
-                    # Process._resume, minus the per-event call frame.
-                    self._active_process = cb
+                self._active_process = cb
+                ok = event._ok
+                value = event._value
+                if not ok:
+                    event._defused = True
+                while True:
                     try:
-                        if event._ok:
-                            next_event = cb._send(event._value)
+                        if ok:
+                            next_event = cb._send(value)
                         else:
-                            event._defused = True
-                            next_event = cb._throw(event._value)
+                            next_event = cb._throw(value)
                     except StopIteration as exc:
-                        self._active_process = None
                         self._active_processes -= 1
                         cb.succeed(exc.value)
+                        break
                     except StopProcess as exc:
-                        self._active_process = None
                         self._active_processes -= 1
                         cb._generator.close()
                         cb.succeed(exc.value)
+                        break
                     except BaseException as exc:
-                        self._active_process = None
                         self._active_processes -= 1
                         cb.fail(exc)
+                        break
+                    try:
+                        waiters = next_event.callbacks
+                    except AttributeError:
+                        waiters = _NOT_AN_EVENT
+                    if waiters is None:
+                        ok = next_event._ok
+                        value = next_event._value
+                        if not ok:
+                            next_event._defused = True
+                        elif (next_event._pool is not None
+                                and getrefcount(next_event) == 2):
+                            # An anonymous event fired in place: recycle
+                            # it like a popped one (see below).
+                            pool = next_event._pool
+                            if len(pool) < _POOL_CAP:
+                                next_event.env = None
+                                next_event.callbacks = []
+                                pool.append(next_event)
+                        continue
+                    if waiters is _NOT_AN_EVENT:
+                        self._active_processes -= 1
+                        cb.fail(SimulationError(
+                            f"process {cb.name!r} yielded a "
+                            f"non-event: {next_event!r}"))
+                    elif next_event.env is not self:
+                        self._active_processes -= 1
+                        cb.fail(SimulationError(
+                            f"process {cb.name!r} yielded an event "
+                            "from another environment"))
                     else:
-                        self._active_process = None
-                        try:
-                            next_event.callbacks.append(cb)
-                            cb._target = next_event
-                        except AttributeError:
-                            if isinstance(next_event, Event) and next_event._processed:
-                                cb._resume(next_event)  # rare: already fired
-                            else:
-                                self._active_processes -= 1
-                                cb.fail(SimulationError(
-                                    f"process {cb.name!r} yielded a "
-                                    f"non-event: {next_event!r}"))
-                        else:
-                            if next_event.env is not self:
-                                next_event.callbacks.remove(cb)
-                                self._active_processes -= 1
-                                cb.fail(SimulationError(
-                                    f"process {cb.name!r} yielded an event "
-                                    "from another environment"))
-                else:
-                    cb(event)
-            else:
+                        waiters.append(cb)
+                        cb._target = next_event
+                    break
+                self._active_process = None
+            elif callbacks:
+                # Anything but a lone process: other code may run after the
+                # callback that asks for an event, so nothing fires in place.
+                self._inplace = False
                 for callback in callbacks:
                     callback(event)
+                self._inplace = True
             if not event._ok and not event._defused:
                 raise event._value
             if event is target:
@@ -337,101 +417,24 @@ class Environment:
                 event.callbacks = []
                 pool.append(event)
 
-    def _drain_time(self, until_time: int) -> None:
-        """Like :meth:`_drain` but stops before passing ``until_time``.
+    def _run_drain(self, target: Optional[Event], until_time: int) -> None:
+        """:meth:`_drain` with the cyclic collector paused.
 
-        Kept as a separate loop so the common ``run()``/``run(until=event)``
-        paths pay nothing for the extra per-iteration heap peek.
+        The hot loop churns heap-entry tuples fast enough to trigger a
+        gen-0 collection every few hundred events, and the kernel's own
+        objects are either pooled or freed by reference counting.  Cyclic
+        garbage produced by the model (conditions, abandoned processes) is
+        collected once the run returns.
         """
-        heap = self._heap
-        imm = self._imm
-        getrefcount = sys.getrefcount
-        now = self._now
-        while True:
-            if imm:
-                # Immediate entries never pass until_time (they are at the
-                # current instant, which run() has already bounds-checked).
-                if heap and heap[0][0] == now and heap[0][1] < imm[0][0]:
-                    now, key, event = heappop(heap)
-                else:
-                    key, event = imm.popleft()
-            elif heap:
-                if heap[0][0] > until_time:
-                    return
-                now, key, event = heappop(heap)
-                self._now = now
-            else:
-                return
-            trace = self.trace
-            if trace is not None:
-                self.last_key = key
-                trace(now, event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            if len(callbacks) == 1:
-                cb = callbacks[0]
-                if cb.__class__ is Process:
-                    # Dominant case: exactly one waiting process.  Drive its
-                    # generator right here — a faithful inline of
-                    # Process._resume, minus the per-event call frame.
-                    self._active_process = cb
-                    try:
-                        if event._ok:
-                            next_event = cb._send(event._value)
-                        else:
-                            event._defused = True
-                            next_event = cb._throw(event._value)
-                    except StopIteration as exc:
-                        self._active_process = None
-                        self._active_processes -= 1
-                        cb.succeed(exc.value)
-                    except StopProcess as exc:
-                        self._active_process = None
-                        self._active_processes -= 1
-                        cb._generator.close()
-                        cb.succeed(exc.value)
-                    except BaseException as exc:
-                        self._active_process = None
-                        self._active_processes -= 1
-                        cb.fail(exc)
-                    else:
-                        self._active_process = None
-                        try:
-                            next_event.callbacks.append(cb)
-                            cb._target = next_event
-                        except AttributeError:
-                            if isinstance(next_event, Event) and next_event._processed:
-                                cb._resume(next_event)  # rare: already fired
-                            else:
-                                self._active_processes -= 1
-                                cb.fail(SimulationError(
-                                    f"process {cb.name!r} yielded a "
-                                    f"non-event: {next_event!r}"))
-                        else:
-                            if next_event.env is not self:
-                                next_event.callbacks.remove(cb)
-                                self._active_processes -= 1
-                                cb.fail(SimulationError(
-                                    f"process {cb.name!r} yielded an event "
-                                    "from another environment"))
-                else:
-                    cb(event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-            pool = event._pool
-            if (pool is not None
-                    and len(pool) < _POOL_CAP
-                    and getrefcount(event) == 2):
-                # Only detach what must not leak; flag/value resets happen at
-                # the pop sites (event()/timeout()/Store.put/Store.get), which
-                # overwrite most fields anyway.
-                event.env = None
-                event.callbacks = []
-                pool.append(event)
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            self._drain(target, until_time)
+        finally:
+            self._inplace = False
+            if gc_was_enabled:
+                gc.enable()
 
     def run(self, until: Optional[int | Event] = None) -> Any:
         """Run until the heap drains, time ``until`` passes, or event fires.
@@ -442,35 +445,17 @@ class Environment:
         * ``until=<Event>`` — run until the event fires and return its value
           (raises ``SimulationError`` if the heap drains first).
 
-        The cyclic garbage collector is paused for the duration of the drain
-        (and restored to its prior state after): the hot loop churns heap-entry
-        tuples fast enough to trigger a gen-0 collection every few hundred
-        events, and the kernel's own objects are either pooled or freed by
-        reference counting.  Cyclic garbage produced by the model (conditions,
-        abandoned processes) is collected once the run returns.
+        The cyclic garbage collector is paused for the duration of the
+        drain and restored to its prior state after (see :meth:`_run_drain`).
         """
         if until is None:
-            gc_was_enabled = gc.isenabled()
-            if gc_was_enabled:
-                gc.disable()
-            try:
-                self._drain(None)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+            self._run_drain(None, _FOREVER)
             return None
 
         if isinstance(until, Event):
             target = until
             if not target._processed:
-                gc_was_enabled = gc.isenabled()
-                if gc_was_enabled:
-                    gc.disable()
-                try:
-                    self._drain(target)
-                finally:
-                    if gc_was_enabled:
-                        gc.enable()
+                self._run_drain(target, _FOREVER)
             if not target._processed:
                 raise SimulationError(
                     "run(until=event): event heap drained before the event fired "
@@ -483,20 +468,13 @@ class Environment:
             return target._value
 
         if isinstance(until, int):
-            if until < self._now:
-                raise ValueError(f"until ({until}) is in the past (now={self._now})")
+            if until < self.now:
+                raise ValueError(f"until ({until}) is in the past (now={self.now})")
             # Empty-heap (or already-idle-past-until) fast path: advance the
             # clock without touching any event machinery.
             if self._imm or (self._heap and self._heap[0][0] <= until):
-                gc_was_enabled = gc.isenabled()
-                if gc_was_enabled:
-                    gc.disable()
-                try:
-                    self._drain_time(until)
-                finally:
-                    if gc_was_enabled:
-                        gc.enable()
-            self._now = until
+                self._run_drain(None, until)
+            self.now = until
             return None
 
         raise TypeError(f"until must be None, an int time, or an Event; got {until!r}")
@@ -513,11 +491,11 @@ class Environment:
         at ``end_ns - 1`` so arrivals injected exactly at ``end_ns`` are
         still in the future.
         """
-        if end_ns <= self._now:
+        if end_ns <= self.now:
             raise ValueError(
-                f"window end {end_ns} is not ahead of now={self._now}")
+                f"window end {end_ns} is not ahead of now={self.now}")
         self.run(until=end_ns - 1)
 
     def __repr__(self) -> str:
         pending = len(self._heap) + len(self._imm)
-        return f"<Environment now={self._now} pending={pending}>"
+        return f"<Environment now={self.now} pending={pending}>"

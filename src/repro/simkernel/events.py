@@ -46,7 +46,8 @@ SEQ_BITS = 52
 # event again, so the instant its callbacks have run the kernel holds the only
 # reference.  ``Environment``'s drain loop detects exactly that case with a
 # refcount probe (two references: the loop local and getrefcount's argument)
-# and recycles the event and its callbacks list into a per-class free list.
+# and recycles the event and its callbacks list into a per-class free list —
+# as it does for an event completed in place once the process has read it.
 # Events the model still references (``t = env.timeout(...)``; condition
 # constituents; process events) always fail the probe and are left alone, so
 # pooling is invisible to user code.  Pools are keyed by *exact* class;
@@ -140,15 +141,15 @@ class Event:
         self._value = value
         self._triggered = True
         # Inlined env.schedule(self, delay=0, priority=priority): succeed is
-        # the single hottest trigger path (every store put/get, every resource
-        # grant) and delay is always 0 here — normal priority goes straight
+        # a hot trigger path (blocked store waiters, lock handoffs, process
+        # exits) and delay is always 0 here — normal priority goes straight
         # to the environment's immediate FIFO, skipping the heap sift.
         env = self.env
         env._seq += 1
         if priority == PRIORITY_NORMAL:
             env._imm.append(((PRIORITY_NORMAL << SEQ_BITS) + env._seq, self))
         else:
-            heappush(env._heap, (env._now, (priority << SEQ_BITS) + env._seq, self))
+            heappush(env._heap, (env.now, (priority << SEQ_BITS) + env._seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":

@@ -128,22 +128,21 @@ class Process(Event):
                     self.fail(exc)
                     return
 
-                # Optimistically register on the yielded event; the rare cases
-                # (already processed -> callbacks is None, or not an event at
-                # all) surface as AttributeError, keeping the per-yield path
-                # free of isinstance/processed checks.
+                # Only a non-event lacks ``callbacks``; an event that has
+                # already fired (completed in place, or long ago) has None
+                # there and the generator continues synchronously.
                 try:
-                    next_event.callbacks.append(self)
+                    waiters = next_event.callbacks
                 except AttributeError:
-                    if isinstance(next_event, Event) and next_event._processed:
-                        # Already fired: continue synchronously.
-                        event, throw = next_event, not next_event._ok
-                        continue
                     env._active_processes -= 1
                     self.fail(SimulationError(
                         f"process {self.name!r} yielded a non-event: {next_event!r}"
                     ))
                     return
+                if waiters is None:
+                    event, throw = next_event, not next_event._ok
+                    continue
+                waiters.append(self)
                 if next_event.env is not env:
                     next_event.callbacks.remove(self)
                     env._active_processes -= 1

@@ -1,27 +1,102 @@
-"""Exclusive-use resources with FIFO or priority queueing.
+"""Exclusive-use resources: the lean :class:`Lock` and the general
+:class:`Resource`.
 
-A :class:`Resource` models a device that at most ``capacity`` processes may
-hold at once — the host CPU, a DMA engine, a bus grant.  Requests are events;
-a process does::
+Every device in the hardware model — the host CPU, a bus arbiter, a DMA
+channel — is a capacity-1 FIFO :class:`Lock`::
 
-    with cpu.request() as req:
-        yield req
+    yield cpu.lock.acquire()
+    try:
         yield env.timeout(cost)
+    finally:
+        cpu.lock.release()
 
-The ``with`` form releases on exit even if the process is interrupted while
-holding (or waiting for) the resource.
+An uncontended :meth:`Lock.acquire` costs one pooled grant event — or none,
+when the grant would be the next event to fire and completes in place (see
+``repro.simkernel.env``).  :class:`Resource` (any capacity, FIFO or priority
+queueing, cancellable requests used as context managers) is the reference
+the lock is property-tested against.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Optional
+from collections import deque
+from typing import TYPE_CHECKING
 
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.events import Event
+from repro.simkernel.events import _EVENT_FREE, Event, SEQ_BITS, PRIORITY_NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
+
+
+_NORMAL_KEY = PRIORITY_NORMAL << SEQ_BITS
+
+
+class Lock:
+    """A capacity-1 lock with strict FIFO handoff.
+
+    Grants follow acquire order and are scheduled exactly when a
+    ``Resource(capacity=1)`` request's would be (same sequence numbers,
+    unless a grant completes in place), so swapping one for the other
+    changes no simulated result.  Unlike a
+    :class:`Request`, a grant carries no identity: :meth:`release` frees
+    whichever holder there is, so a process must only release a lock it
+    holds (acquire outside the ``try``, release in its ``finally``).  A
+    process interrupted while still queued would leave its grant behind;
+    model processes are never interrupted.
+    """
+
+    __slots__ = ("env", "name", "_held", "_waiters")
+
+    def __init__(self, env: "Environment", name: str = ""):
+        self.env = env
+        self.name = name
+        self._held = False
+        self._waiters: deque[Event] = deque()
+
+    def locked(self) -> bool:
+        return self._held
+
+    @property
+    def queued(self) -> int:
+        """Number of acquirers waiting."""
+        return len(self._waiters)
+
+    def acquire(self) -> Event:
+        """An event that fires once the lock is this caller's."""
+        env = self.env
+        if self._held:
+            grant = env.event()
+            self._waiters.append(grant)
+            return grant
+        self._held = True
+        if env._fires_next():
+            return env._fired
+        # Inlined env.event().succeed(): a granted, scheduled event.
+        pool = _EVENT_FREE
+        grant = pool.pop() if pool else Event(env)
+        grant.env = env
+        grant._value = None
+        grant._ok = grant._triggered = True
+        grant._processed = grant._defused = False
+        env._seq += 1
+        env._imm.append((_NORMAL_KEY + env._seq, grant))
+        return grant
+
+    def release(self) -> None:
+        """Hand the lock to the longest waiter, or free it."""
+        waiters = self._waiters
+        if waiters:
+            waiters.popleft().succeed()
+        elif self._held:
+            self._held = False
+        else:
+            raise SimulationError(f"release of unheld lock {self.name!r}")
+
+    def __repr__(self) -> str:
+        state = "held" if self._held else "free"
+        return f"<Lock {self.name!r} {state} queued={len(self._waiters)}>"
 
 
 class Request(Event):
@@ -47,7 +122,7 @@ class Request(Event):
 
 
 class Resource:
-    """A FIFO resource with integer capacity.
+    """A FIFO resource with integer capacity (the reference for :class:`Lock`).
 
     Fairness: grants strictly follow request order (for
     :class:`PriorityResource`, priority order with FIFO tie-break), which
@@ -121,16 +196,6 @@ class PriorityResource(Resource):
         req = Request(self, key=(priority, self._seq))
         self._admit_or_queue(req)
         return req
-
-
-class Mutex(Resource):
-    """Capacity-1 resource — a plain lock with deterministic FIFO handoff."""
-
-    def __init__(self, env: "Environment", name: str = ""):
-        super().__init__(env, capacity=1, name=name)
-
-    def locked(self) -> bool:
-        return self.count == 1
 
 
 def held_by_anyone(resource: Resource) -> bool:

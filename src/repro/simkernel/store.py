@@ -92,20 +92,25 @@ class Store:
             # satisfied (with this very item) and the store is quiescent
             # again — the full _settle sweep is provably a no-op beyond it.
             # succeed() is inlined (the events are known-untriggered).
+            # The put fires in place when it would fire next anyway (see
+            # Environment._fires_next) — decided before the getter's wakeup
+            # is queued behind it.
             items.append(item)
             event._value = item
             event._triggered = True
-            seq = env._seq + 1
-            env._seq = seq
-            env._imm.append((_NORMAL_KEY + seq, event))
+            if env._fires_next():
+                event._processed = True
+                event.callbacks = None
+            else:
+                env._seq += 1
+                env._imm.append((_NORMAL_KEY + env._seq, event))
             gets = self._gets
             if gets:
                 get = gets.popleft()
                 get._value = items.popleft()
                 get._triggered = True
-                seq += 1
-                env._seq = seq
-                env._imm.append((_NORMAL_KEY + seq, get))
+                env._seq += 1
+                env._imm.append((_NORMAL_KEY + env._seq, get))
             return event
         event._triggered = False
         self._puts.append(event)
@@ -130,11 +135,15 @@ class Store:
             # slot then admits exactly one queued put, restoring fullness —
             # again quiescent with no further transfers possible.
             # succeed() is inlined (the events are known-untriggered).
+            # In-place completion as in put().
             event._value = items.popleft()
             event._triggered = True
-            seq = env._seq + 1
-            env._seq = seq
-            env._imm.append((_NORMAL_KEY + seq, event))
+            if env._fires_next():
+                event._processed = True
+                event.callbacks = None
+            else:
+                env._seq += 1
+                env._imm.append((_NORMAL_KEY + env._seq, event))
             puts = self._puts
             if puts:
                 put = puts.popleft()
@@ -142,9 +151,8 @@ class Store:
                 items.append(item)
                 put._value = item
                 put._triggered = True
-                seq += 1
-                env._seq = seq
-                env._imm.append((_NORMAL_KEY + seq, put))
+                env._seq += 1
+                env._imm.append((_NORMAL_KEY + env._seq, put))
             return event
         event._triggered = False
         self._gets.append(event)

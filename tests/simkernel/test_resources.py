@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simkernel import Environment, PriorityResource, Resource
-from repro.simkernel.resources import Mutex, held_by_anyone
+from repro.simkernel.resources import held_by_anyone
 
 
 def hold(env, resource, log, name, duration, priority=None):
@@ -124,14 +124,3 @@ class TestPriorityResource:
         env.run()
         acquires = [entry[0] for entry in log if entry[1] == "acquire"]
         assert acquires == list("abc")
-
-
-class TestMutex:
-    def test_locked_flag(self, env):
-        mutex = Mutex(env)
-        assert not mutex.locked()
-        mutex.request()
-        assert mutex.locked()
-
-    def test_capacity_is_one(self, env):
-        assert Mutex(env).capacity == 1

@@ -1,8 +1,9 @@
 """Stall detection measured in sim time, even when a fault slows the CPU.
 
-Regression for the backoff-counter bug: the MPI engine's blocking loops
-and ``Shmem._await`` used to accumulate only their idle-backoff time, so
-a ``CpuSlow`` episode — which inflates the sim time spent *inside* every
+Regression for the backoff-counter bug: the MPI engine's blocking loops,
+``Shmem._await`` and FM's credit spin (``FmEndpoint.acquire_credit``)
+used to accumulate only their nominal poll/backoff time, so a ``CpuSlow``
+episode — which inflates the sim time spent *inside* every poll or
 ``progress()`` pass — could postpone the ``stall_limit_ns`` check almost
 arbitrarily.  The clocks now compare ``env.now`` against the loop's last
 progress point, so detection fires within the limit (plus one idle-wait
@@ -15,7 +16,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
-from repro.core.common import FmParams
+from repro.core.common import FmParams, FmStalledError
 from repro.faults import FaultPlan
 from repro.faults.plan import CpuSlow
 from repro.upper.mpi import build_mpi_world
@@ -113,3 +114,35 @@ class TestShmemStallUnderCpuSlow:
         # clock; the bound stays a small multiple of the limit rather than
         # a multiple of the slowdown factor.
         assert cluster.now <= 2 * STALL_LIMIT_NS
+
+
+class TestFmCreditStallUnderCpuSlow:
+    def test_starved_sender_fails_within_the_limit(self):
+        cluster = Cluster(2, machine=PPRO_FM2, fm_version=2,
+                          fm_params=FmParams(packet_payload=1024,
+                                             credits_per_peer=2,
+                                             credit_batch=1,
+                                             stall_limit_ns=STALL_LIMIT_NS))
+        factor = 50
+        slow_node(cluster, node=0, factor=factor)
+        hid = {n.fm.register_handler(lambda *a: None)
+               for n in cluster.nodes}.pop()
+        # One pass of the credit spin: a poll, stretched by the slowdown.
+        one_pass_ns = cluster.nodes[0].cpu.params.poll_ns * factor
+        send_started = []
+
+        def sender(node):
+            buf = node.buffer(64)
+            for _ in range(10):   # node 1 never extracts: credits run out
+                send_started.append(node.env.now)
+                yield from node.fm.send_buffer(1, hid, buf, 64)
+
+        with pytest.raises(FmStalledError, match="deadlock") as failure:
+            cluster.run([sender, None])
+        waited = int(failure.value.args[0].split("stalled ")[1].split()[0])
+        assert STALL_LIMIT_NS < waited <= STALL_LIMIT_NS + one_pass_ns
+        # The reported wait is the real one: the stalled send's slowed
+        # pre-credit work comes on top, but the whole send stays a small
+        # multiple of the limit, not a multiple of the slowdown factor.
+        stalled_send_ns = cluster.now - send_started[-1]
+        assert waited < stalled_send_ns <= 2 * STALL_LIMIT_NS
