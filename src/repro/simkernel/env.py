@@ -54,8 +54,6 @@ from repro.simkernel.events import (
 from repro.simkernel.process import Process
 
 _PENDING = Event._PENDING
-#: ``callbacks`` stand-in for a yielded object that is not an event.
-_NOT_AN_EVENT = object()
 #: ``until_time`` of an untimed drain: later than any reachable instant.
 _FOREVER = sys.maxsize
 
@@ -361,28 +359,28 @@ class Environment:
                     try:
                         waiters = next_event.callbacks
                     except AttributeError:
-                        waiters = _NOT_AN_EVENT
+                        self._active_processes -= 1
+                        cb.fail(SimulationError(
+                            f"process {cb.name!r} yielded a "
+                            f"non-event: {next_event!r}"))
+                        break
                     if waiters is None:
                         ok = next_event._ok
                         value = next_event._value
                         if not ok:
                             next_event._defused = True
-                        elif (next_event._pool is not None
+                            continue
+                        # An anonymous event fired in place: recycle it
+                        # like a popped one (see below).
+                        pool = next_event._pool
+                        if (pool is not None
+                                and len(pool) < _POOL_CAP
                                 and getrefcount(next_event) == 2):
-                            # An anonymous event fired in place: recycle
-                            # it like a popped one (see below).
-                            pool = next_event._pool
-                            if len(pool) < _POOL_CAP:
-                                next_event.env = None
-                                next_event.callbacks = []
-                                pool.append(next_event)
+                            next_event.env = None
+                            next_event.callbacks = []
+                            pool.append(next_event)
                         continue
-                    if waiters is _NOT_AN_EVENT:
-                        self._active_processes -= 1
-                        cb.fail(SimulationError(
-                            f"process {cb.name!r} yielded a "
-                            f"non-event: {next_event!r}"))
-                    elif next_event.env is not self:
+                    if next_event.env is not self:
                         self._active_processes -= 1
                         cb.fail(SimulationError(
                             f"process {cb.name!r} yielded an event "

@@ -58,11 +58,6 @@ class Lock:
     def locked(self) -> bool:
         return self._held
 
-    @property
-    def queued(self) -> int:
-        """Number of acquirers waiting."""
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """An event that fires once the lock is this caller's."""
         env = self.env

@@ -175,7 +175,7 @@ class TestLock:
             env.process(worker(env, name, start))
         env.run()
         assert order == [("a", 0), ("b", 10), ("c", 20), ("d", 30)]
-        assert not lock.locked() and lock.queued == 0
+        assert not lock.locked()
 
     def test_locked_flag(self, env):
         lock = Lock(env)
