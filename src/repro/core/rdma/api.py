@@ -33,12 +33,10 @@ from repro.hardware.nic import RDMA_MTU, RdmaCompletion
 from repro.hardware.packet import (
     FIRST, HEADER_BYTES, LAST, RDMA_READ_REQ, RDMA_WRITE, Packet, PacketHeader)
 
+from repro.core.wait import idle_wait
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
-
-#: Cap on completion-wait event sleeps (same rationale as the RPC layer:
-#: the wakeup event is one-shot, so re-check on a bounded cadence).
-CQ_WAIT_CAP_NS = 20_000
 
 #: Give up waiting for a completion after this long — a one-sided op that
 #: never completes is a protocol error (dead peer, unmatched region) and
@@ -225,4 +223,4 @@ def wait_cq(owner, match: Callable[[RdmaCompletion], bool]) -> Generator:
                 f"node {nic.node_id} waited {env.now - t0} ns for an RDMA "
                 f"completion (dead peer or unmatched region?); cq depth "
                 f"{len(cq)}, unmatched drops {nic.rdma_unmatched}")
-        yield env.any_of([nic.cq_wakeup(), env.timeout(CQ_WAIT_CAP_NS)])
+        yield idle_wait(env, nic.cq_wakeup())

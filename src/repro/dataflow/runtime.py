@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.hardware.memory import Buffer
 
 from repro.core.fm1.api import FM1
+from repro.core.wait import idle_wait
 
 from repro.dataflow.graph import StageSpec
 from repro.dataflow.ops import (
@@ -74,10 +75,6 @@ from repro.simkernel.store import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
-
-#: Cap on event-based idle waits (same rationale as the RPC layer).
-IDLE_WAIT_CAP_NS = 20_000
-
 
 class DataflowEndpoint:
     """One node's attachment point: a single SPMD-registered FM2 handler
@@ -118,10 +115,6 @@ class DataflowEndpoint:
 
     def extract_some(self, budget_bytes: Optional[int]) -> Generator:
         yield from self.fm.extract(budget_bytes)
-
-    def idle_wait(self) -> Generator:
-        yield self.env.any_of([self.node.nic.rx_wakeup(),
-                               self.env.timeout(IDLE_WAIT_CAP_NS)])
 
 
 class EdgeRuntime:
@@ -443,7 +436,7 @@ class NodeRuntime:
                     yield dst.queue.put(Eos(edge_id))
             yield from endpoint.extract_some(self.extract_budget)
             if not inbox and nic.recv_region.level == 0:
-                yield from endpoint.idle_wait()
+                yield idle_wait(self.env, nic.rx_wakeup())
 
     def _pump_fair(self, fed_stages: list["StageRuntime"]) -> Generator:
         """The multi-stage pump: per-stage staging lanes, round-robin
@@ -491,7 +484,7 @@ class NodeRuntime:
                 continue
             yield from endpoint.extract_some(self.extract_budget)
             if not inbox and nic.recv_region.level == 0:
-                yield from endpoint.idle_wait()
+                yield idle_wait(self.env, nic.rx_wakeup())
 
     def _deliver(self, stage: "StageRuntime", entry: tuple) -> Generator:
         edge, item = entry

@@ -20,7 +20,8 @@ heap, so metrics add zero simulated time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+import math
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.hardware.memory import CopyMeter
 from repro.simkernel.monitor import Counters
@@ -37,6 +38,17 @@ MetricKey = tuple[str, tuple[tuple[str, str], ...]]
 
 def _key(name: str, labels: dict[str, str]) -> MetricKey:
     return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+
+
+def nearest_rank(ordered: Sequence[int], p: float) -> int:
+    """Nearest-rank percentile ``p`` in [0, 100] of the sorted, non-empty
+    ``ordered``: the value at rank ``max(1, ceil(p * n / 100))``, which is
+    what ``numpy.percentile(..., method="inverted_cdf")`` returns.  The
+    one quantile rule of every histogram, reservoir and windowed series.
+    """
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    return ordered[max(1, math.ceil(p * len(ordered) / 100)) - 1]
 
 
 class Histogram:
@@ -70,11 +82,7 @@ class Histogram:
         """Nearest-rank percentile ``p`` in [0, 100] (raises when empty)."""
         if not self.values:
             raise ValueError(f"histogram {self.name!r} has no samples")
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        ordered = sorted(self.values)
-        rank = max(1, -(-int(p * len(ordered)) // 100))  # ceil(p/100 * n)
-        return ordered[rank - 1]
+        return nearest_rank(sorted(self.values), p)
 
     @property
     def p50(self) -> int:
@@ -251,6 +259,7 @@ def _subset(wanted: dict[str, str], have: dict[str, str]) -> bool:
 
 
 def _render_key(name: str, labels: dict[str, str]) -> str:
+    """``name{a=1,b=2}``: the stable key syntax of every exported label set."""
     if not labels:
         return name
     inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))

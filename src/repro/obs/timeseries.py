@@ -24,19 +24,12 @@ windows to compute error-budget burn rates.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional
+
+from repro.obs.metrics import _render_key, nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
-
-
-def _render_key(name: str, labels: dict[str, str]) -> str:
-    """``name{a=1,b=2}`` — the same stable key syntax as obs.metrics."""
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return f"{name}{{{inner}}}"
 
 
 class _Series:
@@ -115,10 +108,9 @@ class GaugeSeries(_Series):
 class QuantileSeries(_Series):
     """Per-window sample lists with deterministic nearest-rank quantiles.
 
-    Uses the same nearest-rank rule as
-    :class:`repro.workloads.stats.Reservoir` (``rank = max(1,
-    ceil(p/100 * n))``), so a windowed p99 agrees with the aggregate
-    reservoir when a run fits one window.
+    Uses :func:`repro.obs.metrics.nearest_rank`, the rule of the aggregate
+    reservoir too, so a windowed p99 agrees with it when a run fits one
+    window.
     """
 
     kind = "quantile"
@@ -131,18 +123,13 @@ class QuantileSeries(_Series):
         """The raw samples of ``window`` (empty for untouched windows)."""
         return list(self._buckets.get(window, []))
 
-    @staticmethod
-    def _percentile(ordered: list[int], p: float) -> int:
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
-
     def points(self) -> list[list]:
         rows = []
         for i in sorted(self._buckets):
             ordered = sorted(self._buckets[i])
             rows.append([i * self.interval_ns, len(ordered),
-                         self._percentile(ordered, 50),
-                         self._percentile(ordered, 99),
+                         nearest_rank(ordered, 50),
+                         nearest_rank(ordered, 99),
                          ordered[-1]])
         return rows
 

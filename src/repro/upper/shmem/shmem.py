@@ -28,6 +28,7 @@ import numpy as np
 from repro.hardware.memory import Buffer
 
 from repro.core.fm2.api import FM2
+from repro.core.wait import progress_until
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -41,10 +42,6 @@ OP_GET_REPLY = 3
 OP_ACK = 4
 OP_ACC = 5
 OP_BARRIER = 6
-
-#: Cap on event-based idle waits (see ``upper/mpi/engine.py`` for the
-#: missed-wakeup rationale).
-IDLE_WAIT_CAP_NS = 20_000
 
 
 class ShmemError(Exception):
@@ -175,24 +172,12 @@ class Shmem:
         yield from self.progress()
 
     def _await(self, condition, what: str) -> Generator:
-        """Progress until ``condition`` holds, sleeping on rx deposits.
-
-        Idle passes wait on :meth:`~repro.hardware.nic.Nic.rx_wakeup`
-        (capped) instead of a fixed backoff, and the stall check measures
-        sim time without progress against ``env.now`` — so time spent
-        inside ``progress()`` (e.g. under a ``CpuSlow`` fault episode)
-        counts and detection cannot fire late.
-        """
-        t_wait = self.env.now
-        while not condition():
-            advanced = yield from self.progress()
-            if advanced:
-                t_wait = self.env.now
-                continue
-            if self.env.now - t_wait > self.fm.params.stall_limit_ns:
-                raise ShmemError(f"PE {self.me} stalled waiting for {what}")
-            yield self.env.any_of([self.node.nic.rx_wakeup(),
-                                   self.env.timeout(IDLE_WAIT_CAP_NS)])
+        """Progress until ``condition`` holds (see
+        :func:`repro.core.wait.progress_until`)."""
+        yield from progress_until(
+            self.env, self.node.nic, condition, self.progress,
+            self.fm.params.stall_limit_ns,
+            lambda ns: ShmemError(f"PE {self.me} stalled waiting for {what}"))
 
     # -- wire -----------------------------------------------------------------------
     def _send(self, pe: int, op: int, region_id: int, offset: int, size: int,

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.hardware.memory import Buffer
 
 from repro.core.fm2.api import FM2
+from repro.core.wait import progress_until
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -32,10 +33,6 @@ KIND_FIN = 4
 
 #: Maximum payload of one socket segment (one FM message).
 SEGMENT_BYTES = 4096
-#: Safety cap on one event-based idle wait (see ``SocketStack.idle_wait``):
-#: a waiter missing its wakeup (another process extracted its data with no
-#: new NIC deposit) re-checks at least this often.
-IDLE_WAIT_CAP_NS = 20_000
 
 
 class SocketError(Exception):
@@ -88,16 +85,15 @@ class Socket:
         if nbytes <= 0:
             raise SocketError(f"recv size must be positive, got {nbytes}")
         self._check_established()
-        waited_t0 = self.stack.env.now
-        while self.rx_bytes == 0:
-            if self.fin_received:
-                return b""
-            # Receiver pacing: extract only about what the reader asked for.
-            budget = max(nbytes + HEADER_BYTES, 256)
-            advanced = yield from self.stack.progress(budget)
-            if not advanced:
-                yield from self.stack.idle_wait(waited_t0,
-                                                "recv stalled: peer gone?")
+        t0 = self.stack.env.now
+        # Receiver pacing: extract only about what the reader asked for.
+        budget = max(nbytes + HEADER_BYTES, 256)
+        yield from self.stack.progress_until(
+            lambda: self.rx_bytes or self.fin_received,
+            lambda: self.stack.progress(budget),
+            lambda: "recv stalled: peer gone?")
+        if self.rx_bytes == 0:
+            return b""
         out = bytearray()
         while self.rx_chunks and len(out) < nbytes:
             chunk = self.rx_chunks.popleft()
@@ -110,7 +106,7 @@ class Socket:
         yield from self.stack.cpu.execute(self.stack.cpu.memcpy_cost(len(out)))
         obs = self.stack.env.obs
         if obs is not None:
-            obs.span("sockets", "recv", waited_t0,
+            obs.span("sockets", "recv", t0,
                      track=f"node{self.stack.node.node_id}/sockets",
                      conn=self.conn_id, bytes=len(out))
         return bytes(out)
@@ -144,19 +140,18 @@ class Socket:
             return nbytes
         self.posted = (buf, offset + pre, nbytes - pre)
         self.posted_filled = 0
-        waited_t0 = self.stack.env.now
+        want = nbytes - pre
         try:
-            while self.posted_filled < nbytes - pre:
-                if self.fin_received:
-                    raise SocketError(
-                        f"stream closed after {pre + self.posted_filled} of "
-                        f"{nbytes} bytes"
-                    )
-                budget = max(nbytes - pre - self.posted_filled + HEADER_BYTES, 256)
-                advanced = yield from self.stack.progress(budget)
-                if not advanced:
-                    yield from self.stack.idle_wait(
-                        waited_t0, "recv_into stalled: peer gone?")
+            yield from self.stack.progress_until(
+                lambda: self.posted_filled >= want or self.fin_received,
+                lambda: self.stack.progress(
+                    max(want - self.posted_filled + HEADER_BYTES, 256)),
+                lambda: "recv_into stalled: peer gone?")
+            if self.posted_filled < want:
+                raise SocketError(
+                    f"stream closed after {pre + self.posted_filled} of "
+                    f"{nbytes} bytes"
+                )
         finally:
             self.posted = None
             self.posted_filled = 0
@@ -219,11 +214,10 @@ class SocketStack:
         """Block until an incoming connection is established; return it."""
         if not self._listening:
             raise SocketError("accept() before listen()")
-        waited_t0 = self.env.now
-        while not self._accept_queue:
-            advanced = yield from self.progress(SEGMENT_BYTES)
-            if not advanced:
-                yield from self.idle_wait(waited_t0, "accept() timed out")
+        yield from self.progress_until(
+            lambda: self._accept_queue,
+            lambda: self.progress(SEGMENT_BYTES),
+            lambda: "accept() timed out")
         return self._accept_queue.popleft()
 
     def connect(self, peer_node: int) -> Generator:
@@ -233,31 +227,20 @@ class SocketStack:
         # SYN carries my conn id; peer replies with theirs.
         payload = struct.pack("<i", sock.conn_id)
         yield from self._send_raw(peer_node, 0, KIND_SYN, payload)
-        waited_t0 = self.env.now
-        while not sock.established:
-            advanced = yield from self.progress(SEGMENT_BYTES)
-            if not advanced:
-                yield from self.idle_wait(
-                    waited_t0, f"connect to node {peer_node} timed out")
+        yield from self.progress_until(
+            lambda: sock.established, lambda: self.progress(SEGMENT_BYTES),
+            lambda: f"connect to node {peer_node} timed out")
         return sock
 
-    # -- idle waiting ----------------------------------------------------------
-    def idle_wait(self, waited_t0: int, stall_message: str) -> Generator:
-        """Sleep until the NIC lands new data (event wakeup, not polling).
-
-        Replaces the old fixed-backoff poll loop: the waiting process
-        registers for the NIC's next receive-region deposit and wakes the
-        instant there is something to extract, instead of burning simulated
-        time re-polling an empty region every 400 ns.  A capped timeout
-        (:data:`IDLE_WAIT_CAP_NS`) guards the rare missed-wakeup case
-        (another process on this node extracted our data with no new
-        deposit), and a total wait beyond the FM stall limit — measured
-        from ``waited_t0`` — still fails loudly with ``stall_message``.
-        """
-        if self.env.now - waited_t0 > self.fm.params.stall_limit_ns:
-            raise SocketError(stall_message)
-        yield self.env.any_of([self.node.nic.rx_wakeup(),
-                               self.env.timeout(IDLE_WAIT_CAP_NS)])
+    # -- blocking ------------------------------------------------------------
+    def progress_until(self, ready, progress, what) -> Generator:
+        """Run ``progress()`` passes until ``ready()``, sleeping on rx
+        deposits; raise :class:`SocketError` with ``what()`` once sim time
+        without progress exceeds the FM stall limit."""
+        yield from progress_until(
+            self.env, self.node.nic, ready, progress,
+            self.fm.params.stall_limit_ns,
+            lambda ns: SocketError(what()))
 
     # -- progress --------------------------------------------------------------
     def progress(self, budget: int) -> Generator:

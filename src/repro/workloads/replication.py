@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from typing import Generator, Iterator, Optional, Sequence
 
+from repro.core.wait import idle_wait
+
 from repro.obs.slo import BurnRateDetector, SloSpec
 
 from repro.workloads.arrivals import ArrivalSpec
@@ -406,7 +408,7 @@ class ShardSupervisor:
         while True:
             yield from endpoint.extract_some()
             if nic.recv_region.level == 0:
-                yield from endpoint.idle_wait()
+                yield idle_wait(self.env, nic.rx_wakeup())
 
     def result(self) -> dict:
         """Deterministic control-plane fragment for the run report."""

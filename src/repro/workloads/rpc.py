@@ -30,9 +30,7 @@ Overload policy (the server's explicit backpressure story):
   whose deadline passed while queued (``RPC_EXPIRED``) instead of doing
   dead work.
 
-Idle paths never spin on a fixed backoff: pumps sleep on
-:meth:`~repro.hardware.nic.Nic.rx_wakeup` (capped by
-``IDLE_WAIT_CAP_NS``), the same event-based wakeup the sockets layer uses.
+Idle pumps sleep through :func:`repro.core.wait.idle_wait`.
 """
 
 from __future__ import annotations
@@ -45,6 +43,8 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.hardware.memory import Buffer
 
 from repro.core.fm1.api import FM1
+# IDLE_WAIT_CAP_NS is re-exported: perfbench/layers.py imports it from here.
+from repro.core.wait import IDLE_WAIT_CAP_NS, idle_wait
 
 from repro.simkernel.store import Store
 
@@ -68,9 +68,6 @@ STATUS_NAMES = {RPC_OK: "ok", RPC_SHED: "shed", RPC_EXPIRED: "expired"}
 REQ_HEADER = struct.Struct("<iqqi")
 #: Response wire header: req_id, status, payload length.
 RESP_HEADER = struct.Struct("<iii")
-
-#: Cap on event-based idle waits (see socket_fm.py for the rationale).
-IDLE_WAIT_CAP_NS = 20_000
 
 VALID_POLICIES = ("queue", "shed", "deadline")
 
@@ -244,11 +241,6 @@ class RpcEndpoint:
             yield from self.fm.extract(max_packets)
         else:
             yield from self.fm.extract(budget_bytes)
-
-    def idle_wait(self) -> Generator:
-        """Sleep until the next receive-region deposit (capped)."""
-        yield self.env.any_of([self.node.nic.rx_wakeup(),
-                               self.env.timeout(IDLE_WAIT_CAP_NS)])
 
     def abandon(self, req_id: int) -> None:
         """Client gave up on ``req_id``; a late response becomes stale."""
@@ -463,7 +455,7 @@ class RpcServer:
                 self.stats.note_queue_depth(queue.level, shard=self.shard)
             yield from endpoint.extract_some(self.extract_budget)
             if not endpoint.inbox and nic.recv_region.level == 0:
-                yield from endpoint.idle_wait()
+                yield idle_wait(self.env, nic.rx_wakeup())
 
     def _worker(self) -> Generator:
         """Dequeue, serve (charging the request's demand), respond."""
@@ -594,7 +586,7 @@ class RpcClient:
         while self._sending or endpoint.pending:
             yield from endpoint.extract_some()
             if nic.recv_region.level == 0 and (self._sending or endpoint.pending):
-                yield from endpoint.idle_wait()
+                yield idle_wait(self.env, nic.rx_wakeup())
 
     def __repr__(self) -> str:
         return (f"<RpcClient {self.name!r} node={self.endpoint.node.node_id} "

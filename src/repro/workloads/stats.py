@@ -34,11 +34,11 @@ and the ``queue_depth`` gauge — both aggregate and (for sharded calls)
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.obs.metrics import nearest_rank
 from repro.obs.timeseries import TimeSeriesBank
 
 from repro.simkernel.monitor import Counters
@@ -85,11 +85,7 @@ class Reservoir:
         """Nearest-rank percentile ``p`` in [0, 100] (raises when empty)."""
         if not self.samples:
             raise ValueError(f"reservoir {self.name!r} has no samples")
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        ordered = sorted(self.samples)
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
+        return nearest_rank(sorted(self.samples), p)
 
     @property
     def p50(self) -> int:

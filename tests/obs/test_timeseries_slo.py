@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, NicStall
@@ -205,6 +206,23 @@ class TestPercentileAgreement:
         assert p50 == hist.percentile(50) == reservoir.percentile(50)
         assert p99 == hist.percentile(99) == reservoir.percentile(99)
         assert peak == max(values)
+
+    def test_fractional_rank_is_exact(self):
+        # p/100 * n in floats puts 0.07 * 100 just above 7: rank 8.
+        reservoir = Reservoir("r")
+        for v in range(1, 101):
+            reservoir.record(v)
+        assert reservoir.percentile(7) == 7
+
+    def test_fractional_percentile_rounds_the_rank_up(self):
+        # Truncating p * n to an integer before the ceiling lost the
+        # fraction: rank 998 where nearest rank (and numpy) give 999.
+        hist = Histogram("h")
+        for v in range(1, 1000):
+            hist.record(v)
+        expected = int(np.percentile(np.arange(1, 1000), 99.9,
+                                     method="inverted_cdf"))
+        assert hist.percentile(99.9) == expected == 999
 
 
 class TestScenarioSlo:

@@ -3,12 +3,17 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
 
 PACKAGES = ["repro"]
+
+SRC = Path(repro.__file__).parent
+WAIT_MODULE = SRC / "core" / "wait.py"
 
 
 def iter_modules():
@@ -64,3 +69,20 @@ def test_package_all_exports_resolve():
 
 def test_version_is_set():
     assert repro.__version__
+
+
+def test_one_idle_wait_policy():
+    """The idle-wait cap and the capped wakeup sleep live only in
+    ``repro.core.wait``; every other layer goes through it."""
+    cap_defined = []
+    hand_copied = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        where = str(path.relative_to(SRC))
+        if re.search(r"^\s*IDLE_WAIT_CAP_NS\s*=", text, re.MULTILINE):
+            cap_defined.append(where)
+        if path != WAIT_MODULE and re.search(
+                r"any_of\(\[[^\]]*wakeup\(\)", text):
+            hand_copied.append(where)
+    assert cap_defined == [str(WAIT_MODULE.relative_to(SRC))]
+    assert hand_copied == []

@@ -8,6 +8,10 @@ episode — which inflates the sim time spent *inside* every poll or
 arbitrarily.  The clocks now compare ``env.now`` against the loop's last
 progress point, so detection fires within the limit (plus one idle-wait
 cap and one progress pass) no matter how slow the host runs.
+
+The sockets, Winsock and RDMA completion waits fail loudly the same way,
+and a wait that keeps making progress never trips the clock, however
+long the whole call takes.
 """
 
 from __future__ import annotations
@@ -17,11 +21,15 @@ import pytest
 from repro.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.core.common import FmParams, FmStalledError
+from repro.core.rdma import RdmaEndpoint, RdmaStalledError
+from repro.core.rdma.api import CQ_STALL_LIMIT_NS
 from repro.faults import FaultPlan
 from repro.faults.plan import CpuSlow
+from repro.hardware.memory import Buffer
 from repro.upper.mpi import build_mpi_world
 from repro.upper.mpi.status import MpiError
 from repro.upper.shmem import Shmem, ShmemError
+from repro.upper.sockets import SocketError, SocketStack, Wsa
 
 STALL_LIMIT_NS = 300_000
 #: Detection slop: one capped idle wait plus one (slowed) progress pass.
@@ -146,3 +154,88 @@ class TestFmCreditStallUnderCpuSlow:
         # multiple of the limit, not a multiple of the slowdown factor.
         stalled_send_ns = cluster.now - send_started[-1]
         assert waited < stalled_send_ns <= 2 * STALL_LIMIT_NS
+
+
+def connected_pair(cluster: Cluster, server_then, client_then) -> None:
+    """Connect node 1 to node 0 over Sockets-FM, then run
+    ``server_then(sock)`` on node 0 and ``client_then(sock)`` on node 1."""
+    stacks = [SocketStack(node) for node in cluster.nodes]
+
+    def server(node):
+        stacks[0].listen()
+        sock = yield from stacks[0].accept()
+        yield from server_then(sock)
+
+    def client(node):
+        sock = yield from stacks[1].connect(0)
+        yield from client_then(sock)
+
+    cluster.run([server, client])
+
+
+def silent(sock):
+    yield sock.stack.env.timeout(10 * STALL_LIMIT_NS)
+
+
+class TestSocketStallClock:
+    def test_streaming_recv_into_outlasts_the_limit(self):
+        # The stall clock bounds time *without progress*: a posted receive
+        # that keeps filling must complete even though the whole transfer
+        # takes many times the limit.
+        cluster = make_cluster()
+        payload = bytes(i % 251 for i in range(256 * 1024))
+        dest = Buffer(len(payload))
+
+        def sender(sock):
+            yield from sock.send(payload)
+
+        def receiver(sock):
+            yield from sock.recv_into(dest, 0, len(payload))
+
+        connected_pair(cluster, sender, receiver)
+        assert dest.read() == payload
+        assert cluster.now > 2 * STALL_LIMIT_NS
+
+    def test_recv_from_a_silent_peer_fails_within_the_limit(self):
+        cluster = make_cluster()
+        started = []
+
+        def receiver(sock):
+            started.append(cluster.now)
+            yield from sock.recv(64)
+
+        with pytest.raises(SocketError, match="recv stalled"):
+            connected_pair(cluster, silent, receiver)
+        assert STALL_LIMIT_NS < cluster.now - started[0] \
+            <= STALL_LIMIT_NS + SLOP_NS
+
+    def test_overlapped_recv_from_a_silent_peer_fails_within_the_limit(self):
+        cluster = make_cluster()
+        started = []
+
+        def receiver(sock):
+            wsa = Wsa(sock.stack)
+            operation = wsa.recv(sock, Buffer(64), 0, 64)
+            started.append(cluster.now)
+            yield from wsa.get_overlapped_result(operation)
+
+        with pytest.raises(SocketError, match="stalled"):
+            connected_pair(cluster, silent, receiver)
+        assert STALL_LIMIT_NS < cluster.now - started[0] \
+            <= STALL_LIMIT_NS + SLOP_NS
+
+
+class TestRdmaStallClock:
+    def test_get_from_an_unregistered_rkey_fails_within_the_limit(self):
+        cluster = make_cluster()
+        endpoint = RdmaEndpoint(cluster.node(0))
+
+        def initiator(node):
+            # Node 1 never registers rkey 99: its NIC drops the read
+            # request and no completion ever arrives.
+            yield from endpoint.rdma_get(1, 99, node.buffer(64), 64)
+
+        with pytest.raises(RdmaStalledError, match="dead peer"):
+            cluster.run([initiator, None])
+        assert cluster.node(1).nic.rdma_unmatched == 1
+        assert CQ_STALL_LIMIT_NS < cluster.now <= CQ_STALL_LIMIT_NS + SLOP_NS
