@@ -9,7 +9,11 @@ sit — against the paper (absolute tolerances in DESIGN.md §4).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+
+HERE = Path(__file__).parent
 
 
 def pytest_collection_modifyitems(items):
@@ -18,9 +22,12 @@ def pytest_collection_modifyitems(items):
     This is the tier split: ``pytest -m "not benchmark"`` runs only the quick
     tier-1 tests (including the ``fast``-marked smoke files collected from
     here), while a plain ``pytest benchmarks`` still regenerates every figure.
+    The hook sees every collected item, so items outside this directory are
+    left alone.
     """
     for item in items:
-        if item.get_closest_marker("fast") is None:
+        if (HERE in item.path.parents
+                and item.get_closest_marker("fast") is None):
             item.add_marker(pytest.mark.benchmark)
 
 

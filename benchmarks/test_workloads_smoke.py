@@ -79,7 +79,7 @@ class TestWorkloadsSmoke:
             ["rpc-sharded"], capsys)
 
     def test_list_and_bad_preset(self, capsys):
-        listing = run_cli(["list"], capsys)
+        listing = run_cli(["--list-presets"], capsys)
         for preset in SMOKE_PRESETS:
             assert preset in listing
         with pytest.raises(SystemExit):

@@ -1,14 +1,15 @@
 """Pipeline statistics: end-to-end latency plus per-stage telemetry.
 
 :class:`PipelineStats` plays the role :class:`~repro.workloads.stats
-.WorkloadStats` plays for RPC — one object per run, bookkeeping only
-(recording never touches the event heap), a pure function of the
-simulated run, and federable into an observer's metrics registry.  The
-shape differs because the unit of work differs: a record flows through
-*stages*, so the report carries a per-stage section (received /
-processed / emitted / filtered counts, max queue depth, credit-stall
-count and nanoseconds, completion time) alongside the aggregate
-end-to-end latency reservoir and conservation counters.
+.WorkloadStats` plays for RPC — both are :class:`~repro.obs.metrics
+.RunStats`: one object per run, bookkeeping only (recording never touches
+the event heap), a pure function of the simulated run, and federable into
+an observer's metrics registry.  The shape differs because the unit of
+work differs: a record flows through *stages*, so the report carries a
+per-stage section (received / processed / emitted / filtered counts, max
+queue depth, credit-stall count and nanoseconds, completion time)
+alongside the aggregate end-to-end latency histogram and conservation
+counters.
 
 Credit stalls are the backpressure signal: a stage whose sends stall is
 a stage being paced by its downstream's bounded queue through FM's
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.obs.metrics import Histogram, RunStats
 from repro.simkernel.monitor import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import Metrics
     from repro.simkernel.env import Environment
 
 
@@ -59,28 +60,19 @@ class StageStats:
         }
 
 
-class PipelineStats:
+class PipelineStats(RunStats):
     """Everything one pipeline run reports.
 
-    Quacks enough like :class:`WorkloadStats` for
-    :func:`~repro.workloads.runner.execute_scenario`: ``federate``,
-    ``report``, ``fault_window_report``, and a ``counters`` bag.
+    The active window runs from the first source emit to the last sink
+    delivery.  Federate before building stages: each stage's counters
+    bag registers as ``<name>.<stage>`` when the stage is added.
     """
 
     def __init__(self, env: "Environment", name: str = "pipeline"):
-        # Imported here, not at module level: repro.workloads's package
-        # init imports the scenario runner, which imports this package.
-        from repro.workloads.stats import Reservoir
-
-        self.env = env
-        self.name = name
-        self.counters = Counters()
+        super().__init__(env, name)
         #: End-to-end record latency (source emit -> sink arrival).
-        self.latency = Reservoir(f"{name}.latency_ns")
+        self.latency = Histogram(f"{name}.latency_ns")
         self.stages: dict[str, StageStats] = {}
-        self.t_first_emit: Optional[int] = None
-        self.t_last_delivery: Optional[int] = None
-        self._metrics: Optional["Metrics"] = None
 
     # -- construction ------------------------------------------------------
     def add_stage(self, name: str, kind: str, node: int) -> StageStats:
@@ -93,21 +85,13 @@ class PipelineStats:
                                             stage.counters)
         return stage
 
-    def federate(self, metrics: "Metrics") -> None:
-        """Register with an observer's metrics registry (aggregate bag
-        plus one ``<name>.<stage>`` bag per stage)."""
-        metrics.register_counters(self.name, self.counters)
-        self._metrics = metrics
-        for name, stage in self.stages.items():
-            metrics.register_counters(f"{self.name}.{name}", stage.counters)
-
     # -- recording ---------------------------------------------------------
     def note_emitted(self, stage: StageStats) -> None:
         """A source put one fresh record into the pipeline (the stage's
         own ``emitted`` counter is bumped by the send path)."""
         self.counters.add("emitted")
-        if self.t_first_emit is None:
-            self.t_first_emit = self.env.now
+        if self.t_first is None:
+            self.t_first = self.env.now
 
     def note_delivered(self, stage: StageStats, latency_ns: int,
                        source_records: int) -> None:
@@ -117,10 +101,8 @@ class PipelineStats:
         self.counters.add("delivered")
         self.counters.add("delivered_source_records", source_records)
         self.latency.record(latency_ns)
-        self.t_last_delivery = self.env.now
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.latency_ns").record(
-                latency_ns)
+        self.t_last = self.env.now
+        self._mirror("latency_ns", latency_ns)
 
     def note_filtered(self, stage: StageStats, source_records: int) -> None:
         """A filter stage dropped-by-predicate ``source_records`` counts
@@ -136,19 +118,13 @@ class PipelineStats:
 
     def note_queue_depth(self, stage: StageStats, depth: int) -> None:
         stage.note_queue_depth(depth)
-        if self._metrics is not None:
-            self._metrics.histogram(
-                f"{self.name}.{stage.name}.queue_depth").record(depth)
+        if self._metrics is not None:  # skip the name format when unobserved
+            self._mirror(f"{stage.name}.queue_depth", depth)
 
     # -- reporting ---------------------------------------------------------
-    def elapsed_ns(self) -> int:
-        if self.t_first_emit is None or self.t_last_delivery is None:
-            return 0
-        return self.t_last_delivery - self.t_first_emit
-
     def throughput_rps(self) -> float:
         """Delivered *source* records per second of pipeline activity."""
-        elapsed = self.elapsed_ns()
+        elapsed = self.elapsed_ns
         if elapsed <= 0:
             return 0.0
         return self.counters["delivered_source_records"] * 1e9 / elapsed
@@ -173,14 +149,8 @@ class PipelineStats:
             },
             "latency": self.latency.summary(),
             "throughput_rps": round(self.throughput_rps(), 2),
-            "elapsed_ns": self.elapsed_ns(),
+            "elapsed_ns": self.elapsed_ns,
             "credit_stalls": self.counters["credit_stalls"],
             "credit_stall_ns": self.counters["credit_stall_ns"],
             "stages": [stage.as_dict() for stage in self.stages.values()],
         }
-
-    def fault_window_report(self, windows) -> Optional[dict]:
-        """Windowed availability scoring is an RPC-shaped report (good /
-        bad request fractions); pipelines expose per-stage credit-stall
-        telemetry instead, so there is no fault-window section."""
-        return None

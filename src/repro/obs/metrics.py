@@ -14,6 +14,11 @@ the observability layer produces:
   stack, registered here under stable labels so one object can answer
   "where did the bytes/copies/stalls go in *this* run".
 
+:class:`RunStats` is the base of every workload's per-run stats object
+(rpc/MPI, dataflow pipelines, RDMA pingpong): the counters bag, the
+active-window clock, federation into this registry, and the
+:class:`Histogram` samples behind each report's latency block.
+
 Everything here is bookkeeping-only: recording never touches the event
 heap, so metrics add zero simulated time.
 """
@@ -44,7 +49,7 @@ def nearest_rank(ordered: Sequence[int], p: float) -> int:
     """Nearest-rank percentile ``p`` in [0, 100] of the sorted, non-empty
     ``ordered``: the value at rank ``max(1, ceil(p * n / 100))``, which is
     what ``numpy.percentile(..., method="inverted_cdf")`` returns.  The
-    one quantile rule of every histogram, reservoir and windowed series.
+    one quantile rule of every histogram and windowed series.
     """
     if not 0 <= p <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
@@ -101,11 +106,74 @@ class Histogram:
             raise ValueError(f"histogram {self.name!r} has no samples")
         return self.total / len(self.values)
 
+    def summary(self) -> dict:
+        """The deterministic report block: count, mean, p50/p95/p99, max
+        (``None`` everywhere but ``count`` when empty)."""
+        if not self.values:
+            return {"count": 0, "mean_ns": None, "p50_ns": None,
+                    "p95_ns": None, "p99_ns": None, "max_ns": None}
+        ordered = sorted(self.values)
+        return {
+            "count": len(ordered),
+            "mean_ns": round(self.mean, 1),
+            "p50_ns": nearest_rank(ordered, 50),
+            "p95_ns": nearest_rank(ordered, 95),
+            "p99_ns": nearest_rank(ordered, 99),
+            "max_ns": ordered[-1],
+        }
+
     def __len__(self) -> int:
         return len(self.values)
 
     def __repr__(self) -> str:
         return f"<Histogram {self.name!r} {self.labels} n={len(self.values)}>"
+
+
+class RunStats:
+    """What every workload's per-run stats object shares.
+
+    One object per run, bookkeeping only (recording never touches the
+    event heap), a pure function of the simulated run.  Subclasses add
+    their own ``note_*`` recorders and :meth:`report`.
+    """
+
+    def __init__(self, env: Optional["Environment"], name: str):
+        self.env = env
+        self.name = name
+        self.counters = Counters()
+        #: The active window (first send to last completion), from which
+        #: :attr:`elapsed_ns` and every per-second rate fall out.
+        self.t_first: Optional[int] = None
+        self.t_last: Optional[int] = None
+        self._metrics: Optional["Metrics"] = None
+
+    def federate(self, metrics: "Metrics") -> None:
+        """Register the counters bag with an observer's metrics registry;
+        from then on :meth:`_mirror` copies samples into its histograms."""
+        metrics.register_counters(self.name, self.counters)
+        self._metrics = metrics
+
+    def _mirror(self, suffix: str, value: int) -> None:
+        """Copy one sample into the federated ``<name>.<suffix>``
+        histogram (no-op when unobserved)."""
+        if self._metrics is not None:
+            self._metrics.histogram(f"{self.name}.{suffix}").record(value)
+
+    @property
+    def elapsed_ns(self) -> int:
+        """Length of the active window (0 before it closes)."""
+        if self.t_first is None or self.t_last is None:
+            return 0
+        return self.t_last - self.t_first
+
+    def fault_window_report(self, windows) -> Optional[dict]:
+        """Per-episode scoring of fault ``windows``; ``None`` for workloads
+        whose health signal lives in their own report section."""
+        return None
+
+    def report(self) -> dict:
+        """The deterministic ``results`` block of the run's report."""
+        raise NotImplementedError
 
 
 class RateMeter:

@@ -109,8 +109,8 @@ class QuantileSeries(_Series):
     """Per-window sample lists with deterministic nearest-rank quantiles.
 
     Uses :func:`repro.obs.metrics.nearest_rank`, the rule of the aggregate
-    reservoir too, so a windowed p99 agrees with it when a run fits one
-    window.
+    :class:`~repro.obs.metrics.Histogram` too, so a windowed p99 agrees
+    with it when a run fits one window.
     """
 
     kind = "quantile"

@@ -26,7 +26,7 @@ from repro.workloads.runner import PRESET_PLANS, PRESETS, Scenario, \
     run_scenario
 from repro.workloads.sharding import (HashRing, ShardDirectory,
                                       ShardedClient, ShardedService)
-from repro.workloads.stats import Reservoir, WorkloadStats
+from repro.workloads.stats import WorkloadStats
 
 __all__ = [
     "ArrivalSpec", "Bursty", "ClosedLoop", "OpenLoop", "client_rng",
@@ -37,5 +37,5 @@ __all__ = [
     "RpcServer",
     "PRESET_PLANS", "PRESETS", "Scenario", "run_scenario",
     "HashRing", "ShardDirectory", "ShardedClient", "ShardedService",
-    "Reservoir", "WorkloadStats",
+    "WorkloadStats",
 ]

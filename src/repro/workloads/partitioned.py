@@ -75,14 +75,7 @@ def _worker_main(conn, scenario_dict: dict, partition: int) -> None:
 
 def _worker_run(sync, scenario_dict: dict, partition: int) -> None:
     from repro.cluster.partition import PartitionCluster
-    from repro.workloads.rpc import RpcEndpoint
-    from repro.workloads.runner import (
-        MACHINES,
-        Scenario,
-        build_client,
-        build_server,
-        placement,
-    )
+    from repro.workloads.runner import MACHINES, Scenario, deploy_rpc
 
     scenario = Scenario.from_dict(scenario_dict)
     plan = _build_plan(scenario)
@@ -90,26 +83,12 @@ def _worker_run(sync, scenario_dict: dict, partition: int) -> None:
                                fm_version=scenario.fm_version)
     env, fabric = cluster.env, cluster.fabric
 
-    n_shards = scenario.servers if scenario.servers > 1 else 0
     stats = WorkloadStats(env, name=f"workload.{scenario.name}",
-                          n_shards=n_shards)
-    server_nodes, client_nodes = placement(scenario)
-    owned = set(cluster.nodes)
-    # Endpoints for owned nodes in ascending id order (handler ids are
-    # per-node, so building only the local subset keeps them identical
-    # to a serial build).
-    endpoints = {i: RpcEndpoint(cluster.nodes[i], stats) for i in sorted(owned)}
-    for shard, node_id in enumerate(server_nodes):
-        if node_id in owned:
-            build_server(scenario, endpoints[node_id], stats,
-                         shard=shard if n_shards else None).start()
-    programs = []
-    for position, node_id in enumerate(client_nodes):
-        if node_id in owned:
-            client = build_client(scenario, endpoints[node_id], server_nodes,
-                                  position, len(client_nodes))
-            programs.append(cluster.spawn(
-                (lambda node, client=client: client.run()), node_id))
+                          n_shards=scenario.n_shards)
+    clients = deploy_rpc(scenario, cluster.nodes.values(), stats)
+    programs = [cluster.spawn((lambda node, client=client: client.run()),
+                              node_id)
+                for node_id, client in clients.items()]
 
     # Record the local instant the last owned client finishes — the
     # partitioned analogue of where ``env.run(until=done)`` would stop.
@@ -167,7 +146,7 @@ def run_partitioned(scenario, details: dict | None = None) -> dict:
     harness's events/sec numerator.
     """
     from repro.parallel.sync import Coordinator
-    from repro.workloads.runner import scenario_report_dict
+    from repro.workloads.runner import scenario_report
 
     plan = _build_plan(scenario)
     scenario_dict = asdict(scenario)
@@ -197,10 +176,9 @@ def run_partitioned(scenario, details: dict | None = None) -> dict:
                 proc.terminate()
                 proc.join()
 
-    n_shards = scenario.servers if scenario.servers > 1 else 0
     stats = WorkloadStats.merged([p["snapshot"] for p in payloads],
                                  name=f"workload.{scenario.name}",
-                                 n_shards=n_shards)
+                                 n_shards=scenario.n_shards)
     stalls = sum(p["boundary_stalls"] for p in payloads)
     if details is not None:
         details["events"] = sum(p["events"] for p in payloads)
@@ -212,8 +190,5 @@ def run_partitioned(scenario, details: dict | None = None) -> dict:
             f"warning: {stalls} boundary packets found a full input buffer "
             "(backpressure cannot cross partitions retroactively); results "
             "may differ from a serial run of this scenario\n")
-    return {
-        "scenario": scenario_report_dict(scenario),
-        "results": stats.report(),
-        "sim_end_ns": max(p["t_done"] for p in payloads),
-    }
+    return scenario_report(scenario, stats.report(),
+                           max(p["t_done"] for p in payloads))

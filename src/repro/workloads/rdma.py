@@ -13,14 +13,13 @@ The report doubles as the CI transport smoke gate: it sums every NIC's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.rdma import RdmaEndpoint
-from repro.simkernel.monitor import Counters
+from repro.obs.metrics import Histogram, RunStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
-    from repro.obs.metrics import Metrics
     from repro.simkernel.env import Environment
     from repro.workloads.runner import Scenario
 
@@ -30,32 +29,19 @@ if TYPE_CHECKING:  # pragma: no cover
 SETTLE_NS = 10_000
 
 
-class RdmaStats:
+class RdmaStats(RunStats):
     """Everything one pingpong run reports.
 
-    Quacks enough like :class:`~repro.workloads.stats.WorkloadStats` for
-    :func:`~repro.workloads.runner.execute_scenario`: ``federate``,
-    ``report``, ``fault_window_report``, and a ``counters`` bag.
+    The active window runs from the first put to the last answering put;
+    the run's health signal is the transport-error gate, not fault-window
+    scoring.
     """
 
     def __init__(self, env: "Environment", name: str = "rdma"):
-        # Imported here, not at module level: repro.workloads's package
-        # init imports the scenario runner, which imports this module.
-        from repro.workloads.stats import Reservoir
-
-        self.env = env
-        self.name = name
-        self.counters = Counters()
+        super().__init__(env, name)
         #: One sample per round: put -> answering put landed (full RTT).
-        self.rtt = Reservoir(f"{name}.rtt_ns")
-        self.t_first: Optional[int] = None
-        self.t_last: Optional[int] = None
+        self.rtt = Histogram(f"{name}.rtt_ns")
         self.nics: list = []
-        self._metrics: Optional["Metrics"] = None
-
-    def federate(self, metrics: "Metrics") -> None:
-        metrics.register_counters(self.name, self.counters)
-        self._metrics = metrics
 
     def note_round(self, rtt_ns: int, nbytes: int) -> None:
         if self.t_first is None:
@@ -64,8 +50,7 @@ class RdmaStats:
         self.counters.add("rounds")
         self.counters.add("put_bytes", 2 * nbytes)  # one put each way
         self.rtt.record(rtt_ns)
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.rtt_ns").record(rtt_ns)
+        self._mirror("rtt_ns", rtt_ns)
 
     def transport_errors(self) -> dict:
         unmatched = sum(nic.rdma_unmatched for nic in self.nics)
@@ -77,8 +62,7 @@ class RdmaStats:
         }
 
     def report(self) -> dict:
-        elapsed = ((self.t_last - self.t_first)
-                   if self.t_first is not None else 0)
+        elapsed = self.elapsed_ns
         put_bytes = self.counters["put_bytes"]
         return {
             "rounds": self.counters["rounds"],
@@ -95,11 +79,6 @@ class RdmaStats:
                                         for nic in self.nics),
             },
         }
-
-    def fault_window_report(self, windows) -> Optional[dict]:
-        """Windowed availability scoring is RPC-shaped; the pingpong's
-        health signal is the transport-error gate instead."""
-        return None
 
 
 def run_rdma_pingpong(cluster: "Cluster", scenario: "Scenario",

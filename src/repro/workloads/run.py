@@ -4,7 +4,6 @@
     python -m repro.workloads.run --spec scenario.json     # your own spec
     python -m repro.workloads.run rpc-closed -o report.json
     python -m repro.workloads.run --list-presets           # names + blurbs
-    python -m repro.workloads.run list                     # preset shapes
     python -m repro.workloads.run rpc-sharded-slo \\
         --nic-stall 1:2000000:6000000:120000 --trace trace.json
 
@@ -68,8 +67,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "preset", nargs="?", default=None,
-        help=f"named scenario to run (one of: {', '.join(sorted(PRESETS))}; "
-             "or 'list' to enumerate them)",
+        help=f"named scenario to run (one of: {', '.join(sorted(PRESETS))})",
     )
     parser.add_argument(
         "--spec", default=None, metavar="FILE",
@@ -124,15 +122,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in sorted(PRESETS):
             description = PRESET_DESCRIPTIONS.get(name, "")
             print(f"{name:<{width}}  {description}")
-        return 0
-    if opts.preset == "list":
-        for name in sorted(PRESETS):
-            scenario = PRESETS[name]
-            sharded = (f" servers={scenario.servers} "
-                       f"balancer={scenario.balancer}"
-                       if scenario.servers > 1 else "")
-            print(f"{name}: kind={scenario.kind} nodes={scenario.n_nodes} "
-                  f"fm={scenario.fm_version}{sharded}")
         return 0
     if (opts.preset is None) == (opts.spec is None):
         parser.error("give exactly one of: a preset name, or --spec FILE")

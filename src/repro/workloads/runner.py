@@ -27,6 +27,11 @@ Workload kinds:
   sources fanning out over ``branches`` lanes, placed per
   ``stage_placement`` (``spread`` / ``colocate``); bounded stage queues
   make FM credit flow control the backpressure.
+* ``rdma`` — the one-sided RDMA put pingpong between nodes 0 and 1
+  (:mod:`repro.workloads.rdma`).
+
+Each kind is one :data:`KIND_TABLE` row: a stats factory and a run
+function, so :func:`execute_scenario` has no per-kind branches.
 
 Determinism: the report is a pure function of ``(scenario, plan)``.  Two
 calls with equal specs produce byte-identical JSON (pinned by the smoke
@@ -36,18 +41,24 @@ test), which is what makes sweep results diffable across commits.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.configs import PPRO_FM2, SPARC_FM1
 
-# repro.dataflow is imported lazily (inside the pipeline-validation and
-# execution paths): its stats module reaches back into repro.workloads,
-# so a module-level import here would be circular.
+from repro.dataflow.engine import (
+    PIPELINES,
+    PLACEMENTS,
+    required_nodes,
+    run_pipeline,
+)
+from repro.dataflow.records import MIN_RECORD_BYTES
+from repro.dataflow.stats import PipelineStats
 from repro.faults.plan import FaultPlan, NicStall
 from repro.hardware.params import LinkParams
 from repro.hardware.topology import Topology, switch_mesh
 
+from repro.obs.metrics import RunStats
 from repro.obs.slo import SloSpec, evaluate_slos
 
 from repro.workloads.arrivals import (
@@ -74,7 +85,6 @@ from repro.workloads.sharding import (
 from repro.workloads.stats import WorkloadStats
 
 MACHINES = {"sparc": SPARC_FM1, "ppro": PPRO_FM2}
-KINDS = ("rpc", "halo", "allreduce", "pipeline", "rdma")
 ARRIVALS = ("open", "open-fixed", "closed", "bursty")
 
 
@@ -161,8 +171,9 @@ class Scenario:
     population: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.kind not in KIND_TABLE:
+            raise ValueError(f"kind must be one of {tuple(KIND_TABLE)}, "
+                             f"got {self.kind!r}")
         if self.machine not in MACHINES:
             raise ValueError(f"machine must be one of {sorted(MACHINES)}, "
                              f"got {self.machine!r}")
@@ -312,10 +323,6 @@ class Scenario:
                     f"population {self.population} is smaller than the "
                     f"{n_clients} client nodes — every generator node "
                     "needs at least one simulated client")
-        from repro.dataflow.engine import PIPELINES, PLACEMENTS, \
-            required_nodes
-        from repro.dataflow.records import MIN_RECORD_BYTES
-
         if self.pipeline not in PIPELINES:
             raise ValueError(f"pipeline must be one of {PIPELINES}, "
                              f"got {self.pipeline!r}")
@@ -388,13 +395,17 @@ class Scenario:
                     "the rdma pingpong is a two-node serial smoke "
                     "workload; partitioning does not apply")
 
+    @property
+    def n_shards(self) -> int:
+        """Shard count of a sharded rpc service (0 when unsharded)."""
+        return self.servers if self.kind == "rpc" and self.servers > 1 else 0
+
     def slo_specs(self) -> tuple[SloSpec, ...]:
         """The declarative SLOs this scenario evaluates: one aggregate
         spec per target, plus a per-shard variant for sharded services
         (the failover supervisor's per-shard health signal)."""
         specs: list[SloSpec] = []
-        shards = (range(self.servers)
-                  if self.kind == "rpc" and self.servers > 1 else ())
+        shards = range(self.n_shards)
         if self.slo_availability is not None:
             specs.append(SloSpec("availability", "availability",
                                  self.slo_availability))
@@ -510,68 +521,79 @@ def build_server(scenario: Scenario, endpoint: RpcEndpoint,
                      extract_budget=scenario.extract_budget, shard=shard)
 
 
-def build_client(scenario: Scenario, endpoint: RpcEndpoint,
-                 server_nodes: list[int], position: int,
-                 n_clients: int) -> RpcClient:
-    """The client program for the client node at ``position`` in the
-    scenario's client-node list (also the partition workers' builder).
+def deploy_rpc(scenario: Scenario, nodes: Iterable,
+               stats: WorkloadStats) -> dict[int, RpcClient]:
+    """Start the servers and build the clients placed on ``nodes``.
+
+    ``nodes`` are the caller's nodes in ascending id order: every node for
+    the serial runner, a worker's own for a partitioned run.  Endpoints
+    are built in that order, so handler ids agree with a serial build
+    (handler ids index the receiver's table — SPMD registration).
+    Returns ``{node_id: client}`` in client-position order.
 
     Each client owns its balancer instance (``least_pending`` is a
     per-client view) and routes through a :class:`ShardDirectory` — pure
     data, so a worker that owns none of the server nodes can still build
     its clients.
     """
-    spec, n_requests = client_arrival(scenario, position, n_clients)
-    node_id = endpoint.node.node_id
-    if scenario.servers == 1:
-        return RpcClient(
-            endpoint, server_nodes[0], arrivals=spec, seed=scenario.seed,
-            n_requests=n_requests, req_bytes=scenario.req_bytes,
-            work_ns=scenario.work_ns, deadline_ns=scenario.deadline_ns,
-            abandon_after_ns=scenario.abandon_after_ns,
-            name=f"client{node_id}")
-    return ShardedClient(
-        endpoint, ShardDirectory(server_nodes),
-        make_balancer(scenario.balancer, scenario.servers, scenario.vnodes),
-        key_stream(scenario.seed, f"client{node_id}", scenario.n_keys,
-                   scenario.key_skew),
-        arrivals=spec, seed=scenario.seed, n_requests=n_requests,
-        req_bytes=scenario.req_bytes, work_ns=scenario.work_ns,
-        deadline_ns=scenario.deadline_ns,
-        abandon_after_ns=scenario.abandon_after_ns,
-        name=f"client{node_id}")
-
-
-def _run_rpc(cluster: Cluster, scenario: Scenario,
-             stats: WorkloadStats) -> None:
-    # Endpoints on every node, built in node order so handler ids agree
-    # (handler ids index the receiver's table — SPMD registration).
-    endpoints = [RpcEndpoint(node, stats) for node in cluster.nodes]
+    endpoints = {node.node_id: RpcEndpoint(node, stats) for node in nodes}
     server_nodes, client_nodes = placement(scenario)
-    sharded = scenario.servers > 1
     for shard, node_id in enumerate(server_nodes):
-        build_server(scenario, endpoints[node_id], stats,
-                     shard=shard if sharded else None).start()
-    clients = [
-        build_client(scenario, endpoints[node_id], server_nodes, position,
-                     len(client_nodes))
-        for position, node_id in enumerate(client_nodes)
-    ]
+        if node_id in endpoints:
+            build_server(scenario, endpoints[node_id], stats,
+                         shard=shard if scenario.n_shards else None).start()
+    clients: dict[int, RpcClient] = {}
+    for position, node_id in enumerate(client_nodes):
+        if node_id not in endpoints:
+            continue
+        spec, n_requests = client_arrival(scenario, position,
+                                          len(client_nodes))
+        common = dict(arrivals=spec, seed=scenario.seed,
+                      n_requests=n_requests, req_bytes=scenario.req_bytes,
+                      work_ns=scenario.work_ns,
+                      deadline_ns=scenario.deadline_ns,
+                      abandon_after_ns=scenario.abandon_after_ns,
+                      name=f"client{node_id}")
+        if scenario.n_shards:
+            clients[node_id] = ShardedClient(
+                endpoints[node_id], ShardDirectory(server_nodes),
+                make_balancer(scenario.balancer, scenario.servers,
+                              scenario.vnodes),
+                key_stream(scenario.seed, f"client{node_id}",
+                           scenario.n_keys, scenario.key_skew),
+                **common)
+        else:
+            clients[node_id] = RpcClient(endpoints[node_id], server_nodes[0],
+                                         **common)
+    return clients
+
+
+def _run_clients(cluster: Cluster, scenario: Scenario,
+                 clients: dict[int, RpcClient]) -> None:
+    """Run ``{node_id: client}`` as the cluster's node programs."""
     programs: list = [None] * cluster.n_nodes
-    for node_id, client in zip(client_nodes, clients):
+    for node_id, client in clients.items():
         programs[node_id] = (lambda node, client=client: client.run())
     cluster.run(programs, until_ns=scenario.until_ns)
 
 
+def _run_rpc(cluster: Cluster, scenario: Scenario,
+             stats: WorkloadStats) -> dict:
+    if scenario.replicas > 1:
+        return _run_rpc_replicated(cluster, scenario, stats)
+    _run_clients(cluster, scenario, deploy_rpc(scenario, cluster.nodes, stats))
+    return {}
+
+
 def _run_rpc_replicated(cluster: Cluster, scenario: Scenario,
-                        stats: WorkloadStats) -> ShardSupervisor:
+                        stats: WorkloadStats) -> dict:
     """The ``replicas >= 2`` rpc path: replicated clients, a shared
     health map, and a :class:`ShardSupervisor` on the last client node.
 
     The supervisor's endpoint is bound to its own stats object, so probe
     traffic — real messages on the same fabric — never pollutes the
-    workload's counters or time series.  Returns the supervisor so the
-    report can include the control-plane story.
+    workload's counters or time series.  Returns the ``replication``
+    report section: the control-plane story.
     """
     server_nodes, client_nodes = placement(scenario)
     supervisor_node = client_nodes[-1]
@@ -594,8 +616,8 @@ def _run_rpc_replicated(cluster: Cluster, scenario: Scenario,
         workload_stats=stats,
         availability_target=scenario.slo_availability)
     supervisor.start()
-    clients = [
-        ReplicatedClient(
+    clients = {
+        node_id: ReplicatedClient(
             endpoints[node_id], directory,
             make_balancer("static", scenario.servers, scenario.vnodes),
             key_stream(scenario.seed, f"client{node_id}", scenario.n_keys,
@@ -607,33 +629,74 @@ def _run_rpc_replicated(cluster: Cluster, scenario: Scenario,
             abandon_after_ns=scenario.abandon_after_ns,
             name=f"client{node_id}")
         for node_id in client_nodes
-    ]
-    programs: list = [None] * cluster.n_nodes
-    for node_id, client in zip(client_nodes, clients):
-        programs[node_id] = (lambda node, client=client: client.run())
-    cluster.run(programs, until_ns=scenario.until_ns)
-    return supervisor
+    }
+    _run_clients(cluster, scenario, clients)
+    return {"replication": {
+        "replicas": scenario.replicas,
+        "probe_interval_ns": scenario.probe_interval_ns,
+        "failover_timeout_ns": scenario.failover_timeout_ns,
+        "failovers": stats.counters["failover"],
+        "retried": stats.counters["retried"],
+        **supervisor.result(),
+    }}
 
 
 def _run_mpi(cluster: Cluster, scenario: Scenario,
-             stats: WorkloadStats) -> None:
+             stats: WorkloadStats) -> dict:
     from repro.upper.mpi.world import build_mpi_world
     from repro.workloads.apps import allreduce_program, halo_program
 
-    comms = build_mpi_world(cluster)
-    if scenario.kind == "halo":
-        programs = [halo_program(comm, iterations=scenario.iterations,
-                                 halo_bytes=scenario.halo_bytes,
-                                 compute_ns=scenario.compute_ns, stats=stats)
-                    for comm in comms]
-    else:
-        programs = [allreduce_program(comm, iterations=scenario.iterations,
-                                      grad_bytes=scenario.grad_bytes,
-                                      compute_ns=scenario.compute_ns,
-                                      stats=stats)
-                    for comm in comms]
+    app, size_field = {"halo": (halo_program, "halo_bytes"),
+                       "allreduce": (allreduce_program, "grad_bytes")}[
+                           scenario.kind]
+    programs = [app(comm, iterations=scenario.iterations,
+                    compute_ns=scenario.compute_ns, stats=stats,
+                    **{size_field: getattr(scenario, size_field)})
+                for comm in build_mpi_world(cluster)]
     cluster.run([(lambda node, program=program: program())
                  for program in programs], until_ns=scenario.until_ns)
+    return {}
+
+
+def _run_pipeline(cluster: Cluster, scenario: Scenario,
+                  stats: PipelineStats) -> dict:
+    edges = run_pipeline(cluster, scenario, stats).edge_report()
+    return {"results": {"edges": edges}}
+
+
+def _run_rdma(cluster: Cluster, scenario: Scenario, stats) -> dict:
+    from repro.workloads.rdma import run_rdma_pingpong
+
+    run_rdma_pingpong(cluster, scenario, stats)
+    return {}
+
+
+def _workload_stats(scenario: Scenario, env) -> WorkloadStats:
+    return WorkloadStats(env, name=f"workload.{scenario.name}",
+                         n_shards=scenario.n_shards,
+                         sample_interval_ns=scenario.sample_interval_ns)
+
+
+def _pipeline_stats(scenario: Scenario, env) -> PipelineStats:
+    return PipelineStats(env, name=f"pipeline.{scenario.name}")
+
+
+def _rdma_stats(scenario: Scenario, env):
+    from repro.workloads.rdma import RdmaStats
+
+    return RdmaStats(env, name=f"rdma.{scenario.name}")
+
+
+#: ``kind -> (make_stats(scenario, env), run(cluster, scenario, stats))``.
+#: ``run`` drives the workload to completion and returns its extra report
+#: sections; a ``results`` entry among them extends the stats' block.
+KIND_TABLE = {
+    "rpc": (_workload_stats, _run_rpc),
+    "halo": (_workload_stats, _run_mpi),
+    "allreduce": (_workload_stats, _run_mpi),
+    "pipeline": (_pipeline_stats, _run_pipeline),
+    "rdma": (_rdma_stats, _run_rdma),
+}
 
 
 @dataclass
@@ -648,7 +711,7 @@ class ScenarioOutcome:
 
     scenario: Scenario
     cluster: Optional[Cluster]
-    stats: Optional[WorkloadStats]
+    stats: Optional[RunStats]
     report: dict
     observer: Optional[object] = None
     injector: Optional[object] = None
@@ -675,6 +738,16 @@ def scenario_report_dict(scenario: Scenario) -> dict:
                      "sink_work_ns"):
             del spec[name]
     return spec
+
+
+def scenario_report(scenario: Scenario, results: dict,
+                    sim_end_ns: int) -> dict:
+    """The report core every run returns, serial or partitioned."""
+    return {
+        "scenario": scenario_report_dict(scenario),
+        "results": results,
+        "sim_end_ns": sim_end_ns,
+    }
 
 
 def execute_scenario(scenario: Scenario, plan=None,
@@ -706,71 +779,25 @@ def execute_scenario(scenario: Scenario, plan=None,
                       trunk_params=trunk)
     injector = cluster.inject_faults(plan) if plan is not None else None
     observer = cluster.observe() if observe else None
-    if scenario.kind == "pipeline":
-        from repro.dataflow.stats import PipelineStats
-
-        stats = PipelineStats(cluster.env,
-                              name=f"pipeline.{scenario.name}")
-    elif scenario.kind == "rdma":
-        from repro.workloads.rdma import RdmaStats
-
-        stats = RdmaStats(cluster.env, name=f"rdma.{scenario.name}")
-    else:
-        n_shards = (scenario.servers
-                    if scenario.kind == "rpc" and scenario.servers > 1
-                    else 0)
-        stats = WorkloadStats(cluster.env, name=f"workload.{scenario.name}",
-                              n_shards=n_shards,
-                              sample_interval_ns=scenario.sample_interval_ns)
+    make_stats, run = KIND_TABLE[scenario.kind]
+    stats = make_stats(scenario, cluster.env)
     if observer is not None:
         stats.federate(observer.metrics)
-    supervisor = None
-    pipeline_run = None
-    if scenario.kind == "rpc":
-        if scenario.replicas > 1:
-            supervisor = _run_rpc_replicated(cluster, scenario, stats)
-        else:
-            _run_rpc(cluster, scenario, stats)
-    elif scenario.kind == "pipeline":
-        from repro.dataflow.engine import run_pipeline
-
-        pipeline_run = run_pipeline(cluster, scenario, stats)
-    elif scenario.kind == "rdma":
-        from repro.workloads.rdma import run_rdma_pingpong
-
-        run_rdma_pingpong(cluster, scenario, stats)
-    else:
-        _run_mpi(cluster, scenario, stats)
-    results = stats.report()
-    if pipeline_run is not None:
-        results["edges"] = pipeline_run.edge_report()
-    report = {
-        "scenario": scenario_report_dict(scenario),
-        "results": results,
-        "sim_end_ns": cluster.now,
-    }
+    sections = run(cluster, scenario, stats)
+    results = {**stats.report(), **sections.pop("results", {})}
+    report = scenario_report(scenario, results, cluster.now)
     specs = scenario.slo_specs()
     if specs:
         report["slo"] = evaluate_slos(stats.timeseries, specs)
-    if supervisor is not None:
-        report["replication"] = {
-            "replicas": scenario.replicas,
-            "probe_interval_ns": scenario.probe_interval_ns,
-            "failover_timeout_ns": scenario.failover_timeout_ns,
-            "failovers": stats.counters["failover"],
-            "retried": stats.counters["retried"],
-            **supervisor.result(),
-        }
+    report.update(sections)
     if injector is not None:
         report["faults"] = {
             "events": len(injector.events),
             "counters": dict(sorted(injector.counters.as_dict().items())),
         }
-        if plan is not None:
-            windows = stats.fault_window_report(plan.windows()) \
-                if stats is not None else None
-            if windows is not None:
-                report["fault_windows"] = windows
+        windows = stats.fault_window_report(plan.windows())
+        if windows is not None:
+            report["fault_windows"] = windows
     return ScenarioOutcome(scenario, cluster, stats, report,
                            observer, injector)
 

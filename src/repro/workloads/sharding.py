@@ -230,7 +230,7 @@ class ShardedService:
     can queue on its cache shards and shed on its compute shards).
     Queue-side stats are tagged with the shard index, so the aggregate
     :class:`~repro.workloads.stats.WorkloadStats` reports per-shard
-    reservoirs and the imbalance ratio without any extra plumbing.
+    latency histograms and the imbalance ratio without any extra plumbing.
     """
 
     def __init__(self, endpoints: Sequence[RpcEndpoint], stats: WorkloadStats,
@@ -306,7 +306,7 @@ class ShardedClient(RpcClient):
     to a shard through its balancer.
 
     Per request: draw a key, ``pick`` a shard, count it in-flight, and
-    tag the send so completions land in that shard's reservoir.  The
+    tag the send so completions land in that shard's histogram.  The
     endpoint's ``on_resolved`` callback returns the in-flight credit
     exactly once per request — on response *or* abandonment — which is
     what keeps a ``least_pending`` view truthful under drops.

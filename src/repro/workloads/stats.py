@@ -1,10 +1,11 @@
-"""Streaming workload statistics: latency reservoirs, throughput, queues.
+"""Streaming workload statistics: latency, throughput, queues.
 
 One :class:`WorkloadStats` per scenario run collects everything the report
 needs:
 
-* a :class:`Reservoir` of end-to-end request latencies (plus one for
-  server queue waits) with deterministic nearest-rank p50/p95/p99;
+* a :class:`~repro.obs.metrics.Histogram` of end-to-end request latencies
+  (plus one for server queue waits) with deterministic nearest-rank
+  p50/p95/p99;
 * a :class:`~repro.simkernel.monitor.Counters` bag of request outcomes
   (``sent``, ``completed``, ``shed``, ``expired``, request/response
   bytes);
@@ -15,8 +16,7 @@ needs:
 Everything is bookkeeping-only — recording never touches the event heap,
 so stats add zero simulated time — and, like the rest of the stack, a
 pure function of the simulated run: two runs of the same scenario spec
-produce bit-identical sample lists (pinned by
-``tests/workloads/test_stats.py``).
+produce bit-identical sample lists.
 
 When a run is observed (``cluster.observe()``), :meth:`WorkloadStats.federate`
 registers the counters with the observer's metrics registry and mirrors
@@ -36,132 +36,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from repro.obs.metrics import nearest_rank
+from repro.obs.metrics import Histogram, RunStats
 from repro.obs.timeseries import TimeSeriesBank
-
-from repro.simkernel.monitor import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import Metrics
     from repro.simkernel.env import Environment
 
 
-class Reservoir:
-    """A streaming sample reservoir with deterministic quantiles.
-
-    Unbounded by default (scenario runs are small); give ``capacity`` to
-    switch to Vitter's Algorithm R with a seeded RNG, keeping a uniform
-    sample of everything seen — still a pure function of the value stream,
-    so reruns stay bit-identical.  Quantiles use the nearest-rank method
-    (``numpy.percentile(..., method="inverted_cdf")`` agrees), matching
-    :class:`repro.obs.metrics.Histogram`.
-    """
-
-    def __init__(self, name: str, capacity: Optional[int] = None, seed: int = 0):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.name = name
-        self.capacity = capacity
-        self.samples: list[int] = []
-        self.count = 0
-        self.total = 0
-        self._rng = (np.random.default_rng(seed)
-                     if capacity is not None else None)
-
-    def record(self, value: int) -> None:
-        """Add one sample (reservoir-sampled once past capacity)."""
-        self.count += 1
-        self.total += value
-        if self.capacity is None or len(self.samples) < self.capacity:
-            self.samples.append(value)
-            return
-        slot = int(self._rng.integers(0, self.count))
-        if slot < self.capacity:
-            self.samples[slot] = value
-
-    def percentile(self, p: float) -> int:
-        """Nearest-rank percentile ``p`` in [0, 100] (raises when empty)."""
-        if not self.samples:
-            raise ValueError(f"reservoir {self.name!r} has no samples")
-        return nearest_rank(sorted(self.samples), p)
-
-    @property
-    def p50(self) -> int:
-        return self.percentile(50)
-
-    @property
-    def p95(self) -> int:
-        return self.percentile(95)
-
-    @property
-    def p99(self) -> int:
-        return self.percentile(99)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError(f"reservoir {self.name!r} has no samples")
-        return self.total / self.count
-
-    def summary(self) -> dict:
-        """Deterministic summary dict (``None`` quantiles when empty)."""
-        empty = not self.samples
-        return {
-            "count": self.count,
-            "mean_ns": None if self.count == 0 else round(self.mean, 1),
-            "p50_ns": None if empty else self.p50,
-            "p95_ns": None if empty else self.p95,
-            "p99_ns": None if empty else self.p99,
-            "max_ns": None if empty else max(self.samples),
-        }
-
-    def merge(self, other: "Reservoir") -> None:
-        """Fold another reservoir into this one (partition-merge path).
-
-        Unbounded reservoirs concatenate, which is exact: the merged
-        multiset equals the one a single-process run would have recorded,
-        so nearest-rank quantiles come out identical.  Bounded reservoirs
-        keep a deterministic evenly-spaced subsample of the combined order
-        statistics — rank error is at most ``1/(2*capacity)``, inside the
-        nearest-rank tolerance the merge tests pin.
-        """
-        self.count += other.count
-        self.total += other.total
-        combined = self.samples + other.samples
-        if self.capacity is not None and len(combined) > self.capacity:
-            combined.sort()
-            n, cap = len(combined), self.capacity
-            combined = [combined[((2 * i + 1) * n) // (2 * cap)]
-                        for i in range(cap)]
-        self.samples = combined
-
-    def snapshot(self) -> dict:
-        """Picklable state for cross-process merge (see :meth:`restore`)."""
-        return {"samples": list(self.samples), "count": self.count,
-                "total": self.total}
-
-    def restore(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot` (used on freshly built merge targets)."""
-        self.samples = list(state["samples"])
-        self.count = state["count"]
-        self.total = state["total"]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __repr__(self) -> str:
-        return f"<Reservoir {self.name!r} n={self.count}>"
-
-
-class WorkloadStats:
+class WorkloadStats(RunStats):
     """All quantitative signals of one workload run, federated on demand.
 
     With ``n_shards`` set, the aggregate object carries one nested
     :class:`WorkloadStats` per shard (``self.shards``), and every
     ``note_*`` call that names a ``shard`` records into both the aggregate
-    and that shard's reservoirs/counters — so imbalance across a
+    and that shard's histograms/counters — so imbalance across a
     :class:`~repro.workloads.sharding.ShardedService` is first-class in
     the report rather than something to reconstruct from logs.
     """
@@ -173,16 +62,11 @@ class WorkloadStats:
         if sample_interval_ns < 0:
             raise ValueError(f"sample_interval_ns must be non-negative, "
                              f"got {sample_interval_ns}")
-        self.env = env
-        self.name = name
-        self.latency = Reservoir(f"{name}.latency_ns")
-        self.queue_wait = Reservoir(f"{name}.queue_wait_ns")
-        self.counters = Counters()
+        super().__init__(env, name)
+        self.latency = Histogram(f"{name}.latency_ns")
+        self.queue_wait = Histogram(f"{name}.queue_wait_ns")
         #: (time_ns, depth) samples, one per enqueue/dequeue.
         self.queue_depth: list[tuple[int, int]] = []
-        self.t_first_send: Optional[int] = None
-        self.t_last_done: Optional[int] = None
-        self._metrics: Optional["Metrics"] = None
         #: Windowed time series (None unless ``sample_interval_ns`` > 0).
         #: Shard-labelled series live on the aggregate's bank, so sub-stats
         #: never carry their own.
@@ -200,8 +84,7 @@ class WorkloadStats:
         Per-shard counters federate under ``<name>.shard<i>``, so the
         breakdown CLI sees shard-level outcomes alongside the aggregate.
         """
-        metrics.register_counters(self.name, self.counters)
-        self._metrics = metrics
+        super().federate(metrics)
         for shard in self.shards:
             shard.federate(metrics)
 
@@ -224,9 +107,8 @@ class WorkloadStats:
     # -- recording --------------------------------------------------------------
     def note_sent(self, nbytes: int, shard: Optional[int] = None) -> None:
         """Record one request issued with ``nbytes`` of request payload."""
-        now = self.env.now
-        if self.t_first_send is None:
-            self.t_first_send = now
+        if self.t_first is None:
+            self.t_first = self.env.now
         self.counters.add("sent")
         self.counters.add("request_bytes", nbytes)
         self._series("rate", "sent", 1, shard)
@@ -237,15 +119,14 @@ class WorkloadStats:
     def note_completed(self, latency_ns: int, response_bytes: int,
                        shard: Optional[int] = None) -> None:
         """Record one successful completion and its end-to-end latency."""
-        self.t_last_done = self.env.now
+        self.t_last = self.env.now
         self.counters.add("completed")
         self.counters.add("response_bytes", response_bytes)
         self.latency.record(latency_ns)
         self._series("rate", "completed", 1, shard)
         self._series("rate", "delivered_bytes", response_bytes, shard)
         self._series("quantile", "latency_ns", latency_ns, shard)
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.latency_ns").record(latency_ns)
+        self._mirror("latency_ns", latency_ns)
         sub = self._shard(shard)
         if sub is not None:
             sub.note_completed(latency_ns, response_bytes)
@@ -284,8 +165,7 @@ class WorkloadStats:
         """Sample the server queue depth observed at dequeue time."""
         self.queue_depth.append((self.env.now, depth))
         self._series("gauge", "queue_depth", depth, shard)
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.queue_depth").record(depth)
+        self._mirror("queue_depth", depth)
         sub = self._shard(shard)
         if sub is not None:
             sub.note_queue_depth(depth)
@@ -293,8 +173,7 @@ class WorkloadStats:
     def note_queue_wait(self, wait_ns: int, shard: Optional[int] = None) -> None:
         """Record how long a request sat in the server queue."""
         self.queue_wait.record(wait_ns)
-        if self._metrics is not None:
-            self._metrics.histogram(f"{self.name}.queue_wait_ns").record(wait_ns)
+        self._mirror("queue_wait_ns", wait_ns)
         sub = self._shard(shard)
         if sub is not None:
             sub.note_queue_wait(wait_ns)
@@ -306,17 +185,17 @@ class WorkloadStats:
         Partition workers ship snapshots over their pipe at the end of a
         partitioned run; :meth:`merged` folds them back into one stats
         object whose report is identical to a single-process run's:
-        counters sum exactly, reservoirs concatenate (exact multisets for
-        the unbounded reservoirs the workload uses), and the first-send /
-        last-done marks take min/max.
+        counters sum exactly, sample lists concatenate (the merged
+        multisets equal a single run's, so nearest-rank quantiles agree),
+        and the first-send / last-done marks take min/max.
         """
         return {
             "counters": self.counters.as_dict(),
-            "latency": self.latency.snapshot(),
-            "queue_wait": self.queue_wait.snapshot(),
+            "latency": list(self.latency.values),
+            "queue_wait": list(self.queue_wait.values),
             "queue_depth": list(self.queue_depth),
-            "t_first_send": self.t_first_send,
-            "t_last_done": self.t_last_done,
+            "t_first": self.t_first,
+            "t_last": self.t_last,
             "shards": [shard.snapshot() for shard in self.shards],
         }
 
@@ -324,21 +203,15 @@ class WorkloadStats:
         """Fold one worker's :meth:`snapshot` into this object."""
         for key, value in sorted(snap["counters"].items()):
             self.counters.add(key, value)
-        other = Reservoir(self.latency.name)
-        other.restore(snap["latency"])
-        self.latency.merge(other)
-        other = Reservoir(self.queue_wait.name)
-        other.restore(snap["queue_wait"])
-        self.queue_wait.merge(other)
+        self.latency.values.extend(snap["latency"])
+        self.queue_wait.values.extend(snap["queue_wait"])
         self.queue_depth.extend(tuple(s) for s in snap["queue_depth"])
-        if snap["t_first_send"] is not None:
-            if (self.t_first_send is None
-                    or snap["t_first_send"] < self.t_first_send):
-                self.t_first_send = snap["t_first_send"]
-        if snap["t_last_done"] is not None:
-            if (self.t_last_done is None
-                    or snap["t_last_done"] > self.t_last_done):
-                self.t_last_done = snap["t_last_done"]
+        if snap["t_first"] is not None:
+            if self.t_first is None or snap["t_first"] < self.t_first:
+                self.t_first = snap["t_first"]
+        if snap["t_last"] is not None:
+            if self.t_last is None or snap["t_last"] > self.t_last:
+                self.t_last = snap["t_last"]
         if len(snap["shards"]) != len(self.shards):
             raise ValueError(
                 f"snapshot has {len(snap['shards'])} shards, "
@@ -362,13 +235,6 @@ class WorkloadStats:
         return stats
 
     # -- derived ----------------------------------------------------------------
-    @property
-    def elapsed_ns(self) -> int:
-        """First send to last completion (0 before any completion)."""
-        if self.t_first_send is None or self.t_last_done is None:
-            return 0
-        return self.t_last_done - self.t_first_send
-
     def throughput_rps(self) -> float:
         """Delivered completions per second over the active window."""
         elapsed = self.elapsed_ns

@@ -58,6 +58,17 @@ class TestHistogram:
         with pytest.raises(ValueError):
             hist.percentile(101)
 
+    def test_summary_empty_and_filled(self):
+        hist = Histogram("lat")
+        assert hist.summary() == {"count": 0, "mean_ns": None,
+                                  "p50_ns": None, "p95_ns": None,
+                                  "p99_ns": None, "max_ns": None}
+        for value in [30, 10, 20, 40]:
+            hist.record(value)
+        assert hist.summary() == {"count": 4, "mean_ns": 25.0,
+                                  "p50_ns": 20, "p95_ns": 40,
+                                  "p99_ns": 40, "max_ns": 40}
+
 
 class TestRateMeter:
     def test_buckets_by_window(self, env):

@@ -12,7 +12,6 @@ from repro.obs.slo import BurnRateDetector, SloSpec, evaluate_slos, window_count
 from repro.obs.timeseries import TimeSeriesBank
 from repro.simkernel import Environment
 from repro.workloads.runner import PRESETS, run_scenario
-from repro.workloads.stats import Reservoir
 
 STALL = NicStall(node=1, start_ns=200_000, end_ns=800_000, extra_ns=400_000)
 
@@ -185,34 +184,35 @@ class TestWindowCounts:
 
 
 class TestPercentileAgreement:
-    """Histogram, Reservoir, and QuantileSeries share one quantile rule."""
+    """Histogram and QuantileSeries share one quantile rule: numpy's
+    ``inverted_cdf`` (nearest rank)."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 199])
     def test_three_implementations_agree(self, n):
         values = [(i * 7919) % 1000 for i in range(n)]
         hist = Histogram("h")
-        reservoir = Reservoir("r")
         for v in values:
             hist.record(v)
-            reservoir.record(v)
         bank = drive([(0, lambda b, v=v: b.quantile("q").observe(v))
                       for v in values])
         series = bank.quantile("q")
         (point,) = series.points()
         _t, count, p50, p99, peak = point
         assert count == n
+        numpy = {p: int(np.percentile(values, p, method="inverted_cdf"))
+                 for p in (50, 95, 99)}
         for p in (50, 95, 99):
-            assert hist.percentile(p) == reservoir.percentile(p)
-        assert p50 == hist.percentile(50) == reservoir.percentile(50)
-        assert p99 == hist.percentile(99) == reservoir.percentile(99)
+            assert hist.percentile(p) == numpy[p]
+        assert p50 == hist.percentile(50)
+        assert p99 == hist.percentile(99)
         assert peak == max(values)
 
     def test_fractional_rank_is_exact(self):
         # p/100 * n in floats puts 0.07 * 100 just above 7: rank 8.
-        reservoir = Reservoir("r")
+        hist = Histogram("h")
         for v in range(1, 101):
-            reservoir.record(v)
-        assert reservoir.percentile(7) == 7
+            hist.record(v)
+        assert hist.percentile(7) == 7
 
     def test_fractional_percentile_rounds_the_rank_up(self):
         # Truncating p * n to an integer before the ceiling lost the

@@ -86,3 +86,10 @@ def test_one_idle_wait_policy():
             hand_copied.append(where)
     assert cap_defined == [str(WAIT_MODULE.relative_to(SRC))]
     assert hand_copied == []
+
+
+def test_tier1_tests_are_not_marked_benchmark(request):
+    """``pytest -m "not benchmark"`` must keep the tier-1 suite: the
+    ``benchmarks/`` conftest (loaded whenever the tier-1 smoke files are
+    collected) marks only the items under its own directory."""
+    assert request.node.get_closest_marker("benchmark") is None

@@ -1,4 +1,4 @@
-"""Reservoir quantiles vs numpy, the determinism guard, and stats federation."""
+"""Workload latency quantiles vs numpy, and stats federation."""
 
 from __future__ import annotations
 
@@ -7,66 +7,50 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.workloads.stats import Reservoir, WorkloadStats
+from repro.obs.metrics import Histogram
+from repro.workloads.stats import WorkloadStats
 
 
 class TestReservoirQuantiles:
+    """The workload sample store (a :class:`Histogram`) against numpy."""
+
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 999])
     def test_matches_numpy_inverted_cdf(self, n):
         rng = np.random.default_rng(n)
         values = [int(v) for v in rng.integers(0, 1_000_000, n)]
-        reservoir = Reservoir("t")
+        hist = Histogram("t")
         for value in values:
-            reservoir.record(value)
+            hist.record(value)
         for p in (0, 1, 50, 90, 95, 99, 99.9, 100):
             expected = int(np.percentile(values, p, method="inverted_cdf"))
-            assert reservoir.percentile(p) == expected, f"p{p} of n={n}"
+            assert hist.percentile(p) == expected, f"p{p} of n={n}"
+        summary = hist.summary()
+        for p in (50, 95, 99):
+            expected = int(np.percentile(values, p, method="inverted_cdf"))
+            assert summary[f"p{p}_ns"] == expected, f"p{p} of n={n}"
 
     def test_mean_and_max(self):
-        reservoir = Reservoir("t")
+        hist = Histogram("t")
         for value in (10, 20, 60):
-            reservoir.record(value)
-        assert reservoir.mean == 30
-        assert reservoir.summary()["max_ns"] == 60
+            hist.record(value)
+        assert hist.mean == 30
+        assert hist.summary()["max_ns"] == 60
 
     def test_empty_reservoir_raises_and_summarises_none(self):
-        reservoir = Reservoir("t")
+        hist = Histogram("t")
         with pytest.raises(ValueError):
-            reservoir.percentile(50)
+            hist.percentile(50)
         with pytest.raises(ValueError):
-            _ = reservoir.mean
-        summary = reservoir.summary()
+            _ = hist.mean
+        summary = hist.summary()
         assert summary["count"] == 0
         assert summary["p50_ns"] is None
 
     def test_percentile_range_checked(self):
-        reservoir = Reservoir("t")
-        reservoir.record(1)
+        hist = Histogram("t")
+        hist.record(1)
         with pytest.raises(ValueError):
-            reservoir.percentile(101)
-
-
-class TestReservoirSampling:
-    def test_capacity_bounds_kept_samples_not_count(self):
-        reservoir = Reservoir("t", capacity=32, seed=0)
-        for value in range(1000):
-            reservoir.record(value)
-        assert len(reservoir) == 32
-        assert reservoir.count == 1000
-        assert reservoir.total == sum(range(1000))
-
-    def test_determinism_guard_bit_identical_samples(self):
-        # Same seed, same value stream -> bit-identical kept samples.
-        def fill():
-            reservoir = Reservoir("t", capacity=16, seed=42)
-            for value in range(500):
-                reservoir.record(value * 3)
-            return reservoir.samples
-        assert fill() == fill()
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            Reservoir("t", capacity=0)
+            hist.percentile(101)
 
 
 class FakeEnv(SimpleNamespace):
