@@ -19,7 +19,7 @@ library); stage 3 is the real FM 1.x measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.hardware.packet import Packet, PacketFlags, PacketHeader

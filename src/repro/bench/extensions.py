@@ -16,7 +16,6 @@ user of the library would run next.
 from __future__ import annotations
 
 from repro.bench.microbench import IDLE_POLL_NS
-from repro.bench.mpibench import mpi_pingpong_latency_us
 from repro.cluster.cluster import Cluster
 from repro.configs import PPRO_FM2
 from repro.hardware.params import MachineParams
@@ -88,7 +87,6 @@ def aggregate_pair_bandwidth(machine: MachineParams, fm_version: int,
 def latency_vs_hops(machine: MachineParams = PPRO_FM2,
                     max_switches: int = 4) -> list[tuple[int, float]]:
     """(switch count, one-way 16 B latency in µs) across a switch chain."""
-    from repro.bench.microbench import fm_pingpong_latency_us
     results = []
     for n_switches in range(1, max_switches + 1):
         n_hosts = 2 * n_switches

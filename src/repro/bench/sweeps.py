@@ -7,7 +7,7 @@ enough metadata to render the paper's figures as text tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.hardware.params import MachineParams

@@ -20,6 +20,7 @@ from repro.configs import (
 )
 from repro.core.common import FmParams
 from repro.cluster.node import Node
+from repro.parallel.partition import PartitionFabric, PartitionPlan
 
 #: A program is a generator function taking the node it runs on.
 Program = Callable[[Node], Generator]
@@ -43,12 +44,20 @@ def default_fm_params(fm_version: int) -> FmParams:
 
 
 class Cluster:
-    """N simulated hosts on a fabric, each with an FM endpoint."""
+    """N simulated hosts on a fabric, each with an FM endpoint.
+
+    Serially every host is built.  Given a partition ``plan``, the cluster
+    builds only the hosts of ``partition`` over a
+    :class:`~repro.parallel.partition.PartitionFabric` (the plan supplies
+    the topology and trunk parameters); node ids stay global, so programs
+    address remote peers exactly as in a serial build.
+    """
 
     def __init__(self, n_nodes: int, machine: MachineParams = PPRO_FM2,
                  fm_version: int = 2, topology: Optional[Topology] = None,
                  fm_params: Optional[FmParams] = None,
-                 trunk_params=None):
+                 trunk_params=None, plan: Optional[PartitionPlan] = None,
+                 partition: int = 0):
         if n_nodes < 2:
             raise ValueError(f"a cluster needs at least 2 nodes, got {n_nodes}")
         self.env = Environment()
@@ -63,27 +72,41 @@ class Cluster:
                 "could not guarantee space (raise recv_region_slots or lower "
                 "credits_per_peer)"
             )
-        self.topology = topology or single_switch(n_nodes)
+        if plan is not None and (topology is not None
+                                 or trunk_params is not None):
+            raise ValueError("a partitioned cluster takes its topology and "
+                             "trunk parameters from the plan")
+        self.topology = (plan.topology if plan is not None
+                         else topology or single_switch(n_nodes))
         if self.topology.n_hosts != n_nodes:
             raise ValueError(
                 f"topology has {self.topology.n_hosts} hosts, cluster wants {n_nodes}"
             )
-        self.fabric = Fabric(self.env, self.topology, machine.link,
-                             machine.switch, trunk_params=trunk_params)
+        if plan is None:
+            self.fabric = Fabric(self.env, self.topology, machine.link,
+                                 machine.switch, trunk_params=trunk_params)
+            node_ids = range(n_nodes)
+        else:
+            self.fabric = PartitionFabric(self.env, plan, partition,
+                                          machine.switch)
+            node_ids = plan.hosts_of(partition)
+        #: The built nodes in ascending id order (every node serially).
         self.nodes: list[Node] = []
-        for i in range(n_nodes):
+        for i in node_ids:
             node = Node(self.env, i, machine)
             self.fabric.attach(i, node.nic)
             node.bind_fm(self.fabric, fm_version, self.fm_params)
             self.nodes.append(node)
+        self._by_id = {node.node_id: node for node in self.nodes}
         self.fabric.start()
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        """Hosts in the whole machine (a partition builds a subset)."""
+        return self.topology.n_hosts
 
     def node(self, i: int) -> Node:
-        return self.nodes[i]
+        return self._by_id[i]
 
     def observe(self, observer=None):
         """Attach an :class:`~repro.obs.observer.Observer` to this cluster.
@@ -100,8 +123,9 @@ class Cluster:
         if observer is None:
             observer = Observer()
         observer.attach(self.env)
-        for i, node in enumerate(self.nodes):
-            observer.metrics.register_copy_meter(f"node{i}.cpu", node.cpu.meter)
+        for node in self.nodes:
+            observer.metrics.register_copy_meter(f"node{node.node_id}.cpu",
+                                                 node.cpu.meter)
         if self.env.faults is not None:
             observer.metrics.register_counters("faults",
                                                self.env.faults.counters)
@@ -130,7 +154,7 @@ class Cluster:
     # -- program execution ------------------------------------------------------
     def spawn(self, program: Program, node_id: int, name: str = "") -> Process:
         """Start a program on a node (does not run the simulation)."""
-        node = self.nodes[node_id]
+        node = self.node(node_id)
         return self.env.process(
             program(node), name=name or f"prog@{node_id}"
         )

@@ -25,7 +25,7 @@ from repro.hardware.bus import IoBus
 from repro.hardware.cpu import HostCpu
 from repro.hardware.fabric import Fabric
 from repro.hardware.nic import Nic
-from repro.hardware.packet import CONTROL, FIRST, HEADER_BYTES, LAST, Packet, PacketHeader
+from repro.hardware.packet import CONTROL, FIRST, LAST, Packet, PacketHeader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment

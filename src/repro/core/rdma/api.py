@@ -26,10 +26,10 @@ slots, link slots, bus arbitration), which all still applies.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.hardware.memory import Buffer
-from repro.hardware.nic import RDMA_MTU, RdmaCompletion
+from repro.hardware.nic import RdmaCompletion, mtu_chunks
 from repro.hardware.packet import (
     FIRST, HEADER_BYTES, LAST, RDMA_READ_REQ, RDMA_WRITE, Packet, PacketHeader)
 
@@ -55,16 +55,13 @@ class RdmaStalledError(RdmaError):
 class RdmaEndpoint:
     """Per-node RDMA attachment: registration plus the put/get verbs."""
 
-    def __init__(self, node: "Node", mtu: int = RDMA_MTU):
-        if mtu < 1:
-            raise ValueError(f"mtu must be positive, got {mtu}")
+    def __init__(self, node: "Node"):
         self.node = node
         self.env = node.env
         self.cpu = node.cpu
         self.bus = node.bus
         self.nic = node.nic
         self.node_id = node.node_id
-        self.mtu = mtu
         self._next_rkey = 1
         self._next_op_id = 0
         self.stats_puts = 0
@@ -109,26 +106,15 @@ class RdmaEndpoint:
         yield from self.cpu.call()
         yield from self.bus.pio_write(self.cpu, HEADER_BYTES)
         op_id = self._alloc_op_id()
-        offset = 0
-        seq = 0
-        last_seq = (nbytes - 1) // self.mtu
-        while offset < nbytes:
-            chunk = min(self.mtu, nbytes - offset)
+        for seq, offset, chunk, edges in mtu_chunks(nbytes):
             yield from self.nic.tx_dma.transfer(HEADER_BYTES + chunk)
-            flags = RDMA_WRITE
-            if seq == 0:
-                flags |= FIRST
-            if seq == last_seq:
-                flags |= LAST
             packet = Packet(
                 PacketHeader(src=self.node_id, dest=dest, handler_id=0,
                              msg_id=op_id, seq=seq, msg_bytes=nbytes,
-                             flags=flags, rkey=rkey,
+                             flags=RDMA_WRITE | edges, rkey=rkey,
                              roffset=remote_offset + offset),
                 buffer.view(local_offset + offset, chunk))
             yield from self.nic.submit_rdma(packet)
-            offset += chunk
-            seq += 1
         self.stats_puts += 1
         self.stats_put_bytes += nbytes
         if obs is not None:
@@ -173,17 +159,6 @@ class RdmaEndpoint:
         """Consume the first completion satisfying ``match`` (one status
         poll per scan; sleeps on the NIC's completion wakeup between)."""
         return (yield from wait_cq(self, match))
-
-    def poll_completion(
-            self, match: Callable[[RdmaCompletion], bool]
-    ) -> Optional[RdmaCompletion]:
-        """Non-blocking scan-and-consume of the completion queue."""
-        cq = self.nic.cq
-        for i, completion in enumerate(cq):
-            if match(completion):
-                del cq[i]
-                return completion
-        return None
 
     # -- internals -----------------------------------------------------------
     def _check_peer(self, dest: int) -> None:

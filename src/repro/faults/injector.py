@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.simkernel.monitor import Counters
 
-from repro.faults.plan import CpuSlow, FaultPlan, LinkFault, NicStall
+from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.packet import Packet

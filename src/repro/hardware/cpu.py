@@ -13,7 +13,7 @@ All methods are generators, used as ``yield from cpu.memcpy(...)``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.simkernel.resources import Lock
 from repro.simkernel.units import transfer_time_ns

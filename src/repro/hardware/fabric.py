@@ -3,6 +3,8 @@
 Construction is two-phase: build the fabric from a :class:`Topology`, then
 ``attach(host_id, nic)`` each host's NIC, then ``start()`` all component
 processes.  The fabric also stamps source routes onto outgoing packets.
+Every step builds only what :meth:`Fabric.owns` — everything serially;
+a partition fabric (:mod:`repro.parallel.partition`) overrides ``owns``.
 """
 
 from __future__ import annotations
@@ -46,12 +48,18 @@ class Fabric:
         self._routes: dict[tuple[int, int], list[int]] = {}
 
     # -- wiring --------------------------------------------------------------
+    def owns(self, node: GraphNode) -> bool:
+        """Whether this fabric builds ``node`` (a serial fabric owns every
+        host and switch; a partition fabric only its partition's share)."""
+        return True
+
     def _build_switches(self) -> None:
-        """Instantiate the switches (partition fabrics build a subset)."""
+        """Instantiate the owned switches (foreign entries stay None)."""
         for j in range(self.topology.n_switches):
-            self.switches[j] = Switch(
-                self.env, self.topology.switch_degree(j), self.switch_params,
-                name=f"s{j}")
+            if self.owns(switch_node(j)):
+                self.switches[j] = Switch(
+                    self.env, self.topology.switch_degree(j),
+                    self.switch_params, name=f"s{j}")
 
     def params_for(self, src: GraphNode, dst: GraphNode) -> LinkParams:
         """Link parameters for one directed edge (trunks vs host links)."""
@@ -80,7 +88,9 @@ class Fabric:
                 link.connect(self.switches[idx].in_ports[peer_port])
 
     def attach(self, host_id: int, nic: Nic) -> None:
-        """Wire a host NIC to its switch (both directions)."""
+        """Wire an owned host's NIC to its switch (both directions)."""
+        if not self.owns(host_node(host_id)):
+            raise ValueError(f"host {host_id} is not owned by {self!r}")
         if host_id in self._nics:
             raise RuntimeError(f"host {host_id} already attached")
         topo = self.topology
@@ -106,17 +116,19 @@ class Fabric:
         self._nics[host_id] = nic
 
     def start(self) -> None:
-        """Start every link, switch and NIC process. Call exactly once."""
+        """Start every owned link, switch and NIC process. Call exactly once."""
         if self._started:
             raise RuntimeError("fabric started twice")
-        missing = set(range(self.topology.n_hosts)) - set(self._nics)
+        missing = [i for i in range(self.topology.n_hosts)
+                   if self.owns(host_node(i)) and i not in self._nics]
         if missing:
-            raise RuntimeError(f"hosts not attached before start(): {sorted(missing)}")
+            raise RuntimeError(f"hosts not attached before start(): {missing}")
         self._started = True
         for link in self.links.values():
             link.start()
         for sw in self.switches:
-            sw.start()
+            if sw is not None:
+                sw.start()
         for nic in self._nics.values():
             nic.start()
 

@@ -50,7 +50,7 @@ cost and wire hops, not with host per-message software overhead.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.simkernel.store import Store
 
@@ -139,6 +139,27 @@ def _binomial_children(rel: int, n: int) -> list[int]:
         children.append(rel + step)
         step <<= 1
     return children
+
+
+def mtu_chunks(nbytes: int) -> Iterator[tuple[int, int, int, int]]:
+    """Packetise an ``nbytes`` one-sided message at :data:`RDMA_MTU`.
+
+    Yields ``(seq, offset, size, edges)`` per chunk, where ``edges`` holds
+    FIRST on the first chunk and LAST on the last — the framing every
+    firmware-originated data stream (puts, served reads, broadcasts) uses.
+    """
+    last_seq = (nbytes - 1) // RDMA_MTU
+    for seq, offset in enumerate(range(0, nbytes, RDMA_MTU)):
+        edges = (FIRST if seq == 0 else 0) | (LAST if seq == last_seq else 0)
+        yield seq, offset, min(RDMA_MTU, nbytes - offset), edges
+
+
+def _wake_all(waiters: list) -> None:
+    """Succeed every parked one-shot wakeup event and empty ``waiters``
+    (``succeed`` only schedules, so nobody re-registers mid-loop)."""
+    for event in waiters:
+        event.succeed()
+    waiters.clear()
 
 
 class Nic:
@@ -337,10 +358,7 @@ class Nic:
                          nbytes: int) -> None:
         self.cq.append(RdmaCompletion(kind, peer, rkey, op_id, nbytes,
                                       self.env.now))
-        if self._cq_waiters:
-            waiters, self._cq_waiters = self._cq_waiters, []
-            for event in waiters:
-                event.succeed()
+        _wake_all(self._cq_waiters)
 
     def _fw_inject(self, packet: Packet):
         """Firmware-originated send: straight into tx SRAM (the payload is
@@ -429,10 +447,7 @@ class Nic:
                                       nic=self.name).record(
                     self.recv_region.level)
             yield self.recv_region.put(packet)
-            if self._rx_waiters:
-                waiters, self._rx_waiters = self._rx_waiters, []
-                for event in waiters:
-                    event.succeed()
+            _wake_all(self._rx_waiters)
 
     # -- RDMA receive paths ---------------------------------------------------
     def _rx_rdma(self, packet: Packet, t0: int):
@@ -518,28 +533,17 @@ class Nic:
         obs = self.env.obs
         t0 = self.env.now
         self.rdma_reads_served += 1
-        offset = 0
-        seq = 0
-        last_seq = (max(nbytes - 1, 0)) // RDMA_MTU
-        while offset < nbytes:
-            chunk = min(RDMA_MTU, nbytes - offset)
+        for seq, offset, chunk, edges in mtu_chunks(nbytes):
             yield self.env.timeout(self.params.rdma_match_ns)
             yield from self.tx_dma.transfer(HEADER_BYTES + chunk)
-            flags = RDMA_READ_RESP
-            if seq == 0:
-                flags |= FIRST
-            if seq == last_seq:
-                flags |= LAST
             reply = Packet(
                 PacketHeader(src=self.node_id, dest=header.src,
                              handler_id=0, msg_id=header.msg_id, seq=seq,
-                             msg_bytes=nbytes, flags=flags,
+                             msg_bytes=nbytes, flags=RDMA_READ_RESP | edges,
                              rkey=header.rkey, roffset=offset),
                 region.view(header.roffset + offset, chunk))
             yield from self._fw_inject(reply)
             self.rdma_read_bytes += chunk
-            offset += chunk
-            seq += 1
         if obs is not None:
             obs.span("nic", "rdma_read_serve", t0,
                      track=f"node{self.node_id}/nic.tx",
@@ -559,16 +563,10 @@ class Nic:
         if header.handler_id == COLL_BARRIER:
             rnd = header.seq
             state.arrived[rnd] = state.arrived.get(rnd, 0) + 1
-            waiters = state.round_waiters.pop(rnd, None)
-            if waiters:
-                for event in waiters:
-                    event.succeed()
+            _wake_all(state.round_waiters.pop(rnd, []))
         else:
             state.pending.append(packet)
-            if state.data_waiters:
-                waiters, state.data_waiters = state.data_waiters, []
-                for event in waiters:
-                    event.succeed()
+            _wake_all(state.data_waiters)
         obs = self.env.obs
         if obs is not None:
             obs.span("nic", "collective_rx", t0,
@@ -618,20 +616,14 @@ class Nic:
         obs = env.obs
         t0 = env.now
         nbytes = state.nbytes
-        last_seq = (nbytes - 1) // RDMA_MTU
         if me == state.root:
-            offset = 0
-            seq = 0
-            while offset < nbytes:
-                chunk = min(RDMA_MTU, nbytes - offset)
+            for seq, offset, chunk, edges in mtu_chunks(nbytes):
                 yield env.timeout(self.params.collective_step_ns)
                 yield from self.tx_dma.transfer(HEADER_BYTES + chunk)
                 data = state.buffer.view(offset, chunk)
                 for child in children:
                     yield from self._fw_inject(self._bcast_packet(
-                        state, child, seq, last_seq, offset, data))
-                offset += chunk
-                seq += 1
+                        state, child, seq, edges, offset, data))
         else:
             received = 0
             while received < nbytes:
@@ -647,7 +639,8 @@ class Nic:
                 received += len(packet.payload)
                 for child in children:
                     yield from self._fw_inject(self._bcast_packet(
-                        state, child, header.seq, last_seq, header.roffset,
+                        state, child, header.seq,
+                        header.flags & (FIRST | LAST), header.roffset,
                         packet.payload))
         del self._colls[state.coll_id]
         self._post_completion("bcast", state.root, 0, state.coll_id, nbytes)
@@ -657,16 +650,11 @@ class Nic:
                      coll=state.coll_id, root=state.root, bytes=nbytes)
 
     def _bcast_packet(self, state: _CollState, dest: int, seq: int,
-                      last_seq: int, offset: int, data) -> Packet:
-        flags = COLLECTIVE
-        if seq == 0:
-            flags |= FIRST
-        if seq == last_seq:
-            flags |= LAST
+                      edges: int, offset: int, data) -> Packet:
         return Packet(
             PacketHeader(src=self.node_id, dest=dest, handler_id=COLL_BCAST,
                          msg_id=state.coll_id, seq=seq,
-                         msg_bytes=state.nbytes, flags=flags,
+                         msg_bytes=state.nbytes, flags=COLLECTIVE | edges,
                          rkey=state.root, roffset=offset),
             data)
 

@@ -9,7 +9,6 @@ FM 1.x and the 200 MHz Pentium Pro / PCI testbed of FM 2.x) are defined in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 
 def _check_positive(name: str, value) -> None:

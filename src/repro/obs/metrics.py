@@ -26,7 +26,7 @@ heap, so metrics add zero simulated time.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.hardware.memory import CopyMeter
 from repro.simkernel.monitor import Counters

@@ -9,7 +9,8 @@ exchange boundary packets at window barriers over pipes.
 
 * :mod:`repro.parallel.partition` — the partition plan (ownership, cut
   edges, lookahead), boundary links that capture outbound packets, and
-  the partial fabric build.
+  the partition fabric: the serial fabric restricted to one partition's
+  share, plus the cut-edge wiring.
 * :mod:`repro.parallel.sync` — the window-barrier wire protocol between
   the coordinator (parent) and the partition workers.
 """

@@ -8,10 +8,16 @@ captures serialised packets (tagged with their arrival time at the far
 side) into an outbox instead of delivering them, and the receiving side
 re-injects them between windows.
 
+A worker builds the serial :class:`~repro.cluster.cluster.Cluster` over
+a :class:`PartitionFabric`: the serial
+:class:`~repro.hardware.fabric.Fabric` builds, attaches and starts only
+what :meth:`PartitionFabric.owns`, and the subclass adds the cut-edge
+wiring, the outbox and the injection of inbound packets.
+
 The conservative-lookahead rule lives here too: a packet finishing
 serialisation at local time ``t`` arrives at ``t + propagation_ns``, so
-the minimum propagation delay over all cut edges bounds how far any
-partition may run ahead of the others — that minimum is the window width.
+the propagation delay of the cut edges (all of them trunks) bounds how
+far any partition may run ahead of the others — it is the window width.
 Capture happens at serialisation end (arrival still in the future by at
 least one full window), which is exactly what makes the window exchange
 sufficient: every packet produced during window ``k`` arrives at or after
@@ -32,10 +38,8 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.hardware.fabric import Fabric
 from repro.hardware.link import Link
-from repro.hardware.nic import Nic
 from repro.hardware.packet import Packet
 from repro.hardware.params import LinkParams, SwitchParams
-from repro.hardware.switch import Switch
 from repro.hardware.topology import GraphNode, Topology, host_node, switch_node
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,9 +66,10 @@ class PartitionPlan:
 
     Switch ``j`` belongs to partition ``j * n_partitions // n_switches``
     (contiguous blocks; ``n_switches`` must divide evenly), hosts follow
-    their switch, and the window width is the minimum propagation delay
-    over every cut edge.  The plan is pure data — both the coordinator
-    and each worker derive identical plans from the same inputs.
+    their switch, so every cut edge is a trunk and the window width is
+    the trunk propagation delay.  The plan is pure data — both the
+    coordinator and each worker derive identical plans from the same
+    inputs.
     """
 
     topology: Topology
@@ -85,16 +90,13 @@ class PartitionPlan:
                 f"{topo.n_switches} switches do not split evenly over "
                 f"{n_parts} partitions")
         cuts: dict[str, tuple[GraphNode, GraphNode]] = {}
-        lookahead: Optional[int] = None
         for j in range(topo.n_switches):
+            src = switch_node(j)
             for neighbor in topo.switch_neighbors(j):
-                src = switch_node(j)
-                if self.owner(src) == self.owner(neighbor):
-                    continue
-                cuts[edge_id(src, neighbor)] = (src, neighbor)
-                prop = self.edge_params(src, neighbor).propagation_ns
-                if lookahead is None or prop < lookahead:
-                    lookahead = prop
+                if (neighbor[0] == "s"
+                        and self.owner(src) != self.owner(neighbor)):
+                    cuts[edge_id(src, neighbor)] = (src, neighbor)
+        lookahead = self.trunk_params.propagation_ns if cuts else None
         if n_parts > 1 and (lookahead is None or lookahead < 2):
             raise ValueError(
                 "partitioned runs need every cross-partition link to have "
@@ -118,11 +120,6 @@ class PartitionPlan:
     def hosts_of(self, partition: int) -> list[int]:
         return [i for i in range(self.topology.n_hosts)
                 if self.host_partition(i) == partition]
-
-    def edge_params(self, src: GraphNode, dst: GraphNode) -> LinkParams:
-        if src[0] == "s" and dst[0] == "s":
-            return self.trunk_params
-        return self.link_params
 
     def dest_partition(self, eid: str) -> int:
         """The partition an outbox item addressed to ``eid`` belongs to."""
@@ -185,17 +182,21 @@ class BoundaryLink(Link):
 class PartitionFabric(Fabric):
     """One partition's share of the fabric.
 
-    Builds only the switches, links and NIC attachments this partition
-    owns; each outbound half of a cut edge becomes a
-    :class:`BoundaryLink` and each inbound half an injection target
-    (the far switch's input port, filled by :meth:`inject` between
-    windows).  Routing uses the full topology, so source routes are
-    identical to a serial build.
+    :class:`~repro.hardware.fabric.Fabric` builds, attaches and starts
+    only what :meth:`owns` admits; this subclass adds the cut edges:
+    each outbound half becomes a :class:`BoundaryLink` and each inbound
+    half an injection target (the owned switch's input port, filled by
+    :meth:`inject` between windows).  Routing uses the full topology, so
+    source routes are identical to a serial build.
     """
 
     def __init__(self, env: "Environment", plan: PartitionPlan,
                  partition: int,
                  switch_params: Optional[SwitchParams] = None):
+        if not 0 <= partition < plan.n_partitions:
+            raise ValueError(
+                f"partition {partition} out of range "
+                f"[0, {plan.n_partitions})")
         self.plan = plan
         self.partition = partition
         #: Captured outbound packets, appended in simulated-time order.
@@ -213,13 +214,6 @@ class PartitionFabric(Fabric):
     # -- ownership-aware wiring ----------------------------------------------
     def owns(self, node: GraphNode) -> bool:
         return self.plan.owner(node) == self.partition
-
-    def _build_switches(self) -> None:
-        for j in range(self.topology.n_switches):
-            if self.owns(switch_node(j)):
-                self.switches[j] = Switch(
-                    self.env, self.topology.switch_degree(j),
-                    self.switch_params, name=f"s{j}")
 
     def _build_switch_links(self) -> None:
         topo = self.topology
@@ -248,28 +242,6 @@ class PartitionFabric(Fabric):
                     eid = edge_id(src, neighbor)
                     self._inbound[eid] = (
                         self.switches[neighbor[1]].in_ports[peer_port])
-
-    def attach(self, host_id: int, nic: Nic) -> None:
-        if not self.owns(host_node(host_id)):
-            raise ValueError(
-                f"host {host_id} is not in partition {self.partition}")
-        super().attach(host_id, nic)
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("fabric started twice")
-        missing = set(self.plan.hosts_of(self.partition)) - set(self._nics)
-        if missing:
-            raise RuntimeError(
-                f"hosts not attached before start(): {sorted(missing)}")
-        self._started = True
-        for link in self.links.values():
-            link.start()
-        for sw in self.switches:
-            if sw is not None:
-                sw.start()
-        for nic in self._nics.values():
-            nic.start()
 
     # -- window exchange -------------------------------------------------------
     def drain_outbox(self, window_end_ns: int) -> list[BoundaryItem]:

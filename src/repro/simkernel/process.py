@@ -14,7 +14,7 @@ from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.simkernel.errors import Interrupt, SimulationError, StopProcess
-from repro.simkernel.events import Event, PRIORITY_NORMAL
+from repro.simkernel.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simkernel.env import Environment

@@ -10,7 +10,7 @@ producer chain exactly as Myrinet's link-level flow control does.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.simkernel.events import Event, PRIORITY_NORMAL, SEQ_BITS, _register_pool
 

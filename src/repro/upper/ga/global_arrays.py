@@ -11,14 +11,11 @@ region (put/acc) or reads from it (get).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import Generator
 
 import numpy as np
 
-from repro.upper.shmem.shmem import Shmem, ShmemError
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from repro.upper.shmem.shmem import Shmem
 
 
 class GaError(Exception):

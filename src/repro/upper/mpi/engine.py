@@ -48,7 +48,7 @@ from repro.upper.mpi.constants import (
     KIND_RTS_RDMA,
     INTERNAL_TAG_BASE,
 )
-from repro.upper.mpi.envelope import ENVELOPE_BYTES, Envelope
+from repro.upper.mpi.envelope import Envelope
 from repro.upper.mpi.status import MpiError, Request, Status
 
 if TYPE_CHECKING:  # pragma: no cover

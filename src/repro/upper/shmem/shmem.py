@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 

@@ -3,8 +3,11 @@
 The serial runner puts the whole cluster in one event loop;
 :func:`run_partitioned` splits a grouped scenario
 (``partition_groups > 0``) across ``scenario.partitions`` OS worker
-processes, each simulating its switch groups' share of the cluster in its
-own :class:`~repro.simkernel.env.Environment`.  Workers advance in
+processes.  Each worker builds the serial
+:class:`~repro.cluster.cluster.Cluster` restricted to its partition's
+hosts and switches (``Cluster(..., plan=, partition=)``) in its own
+:class:`~repro.simkernel.env.Environment`, and deploys its share of the
+rpc service with the serial ``deploy_rpc`` and stats factory.  Workers advance in
 lockstep windows of the plan's lookahead (the minimum cross-partition
 trunk propagation delay) and exchange boundary packets at window barriers
 over pipes — the classic conservative-lookahead discipline, with the
@@ -74,18 +77,20 @@ def _worker_main(conn, scenario_dict: dict, partition: int) -> None:
 
 
 def _worker_run(sync, scenario_dict: dict, partition: int) -> None:
-    from repro.cluster.partition import PartitionCluster
-    from repro.workloads.runner import MACHINES, Scenario, deploy_rpc
+    from repro.cluster.cluster import Cluster
+    from repro.workloads.runner import (KIND_TABLE, MACHINES, Scenario,
+                                        deploy_rpc)
 
     scenario = Scenario.from_dict(scenario_dict)
     plan = _build_plan(scenario)
-    cluster = PartitionCluster(plan, partition, MACHINES[scenario.machine],
-                               fm_version=scenario.fm_version)
+    cluster = Cluster(scenario.n_nodes, MACHINES[scenario.machine],
+                      fm_version=scenario.fm_version, plan=plan,
+                      partition=partition)
     env, fabric = cluster.env, cluster.fabric
 
-    stats = WorkloadStats(env, name=f"workload.{scenario.name}",
-                          n_shards=scenario.n_shards)
-    clients = deploy_rpc(scenario, cluster.nodes.values(), stats)
+    make_stats = KIND_TABLE[scenario.kind][0]
+    stats = make_stats(scenario, env)
+    clients = deploy_rpc(scenario, cluster.nodes, stats)
     programs = [cluster.spawn((lambda node, client=client: client.run()),
                               node_id)
                 for node_id, client in clients.items()]

@@ -7,10 +7,11 @@ asks for — replication plus supervised failover — in three pieces, all of
 them client-side/control-plane bookkeeping (zero simulated cost; the
 simulation measures where the *messages* go):
 
-* :class:`ReplicatedService` / :class:`ReplicatedDirectory` — each key
-  lives on the R successor shards of the same :class:`HashRing
-  <repro.workloads.sharding.HashRing>` that places its primary
-  (``ring.successors``; R=2 default, primary + backup).
+* :class:`ReplicatedDirectory` — each key lives on the R successor
+  shards of the same :class:`HashRing <repro.workloads.sharding.HashRing>`
+  that places its primary (``ring.successors``; R=2 default, primary +
+  backup); the shards themselves are plain
+  :class:`~repro.workloads.rpc.RpcServer` instances.
 * :class:`ShardSupervisor` — a control-plane process on its own node
   that health-checks every shard with deadline-bounded probe RPCs,
   marks a shard down when a probe times out (or when a per-shard
@@ -50,7 +51,6 @@ from repro.workloads.sharding import (
     HashRing,
     ShardDirectory,
     ShardedClient,
-    ShardedService,
 )
 from repro.workloads.stats import WorkloadStats
 
@@ -146,37 +146,6 @@ class ReplicatedDirectory(ShardDirectory):
                 f"R={self.replicas}>")
 
 
-class ReplicatedService(ShardedService):
-    """A :class:`ShardedService` whose keys live on R ring-successor
-    shards.  The attached :class:`ReplicatedDirectory` (``directory``)
-    carries the placement rule and the shared health map; servers are
-    plain :class:`~repro.workloads.rpc.RpcServer` shards — replication
-    is a client/control-plane concern, the data plane is unchanged."""
-
-    def __init__(self, endpoints: Sequence[RpcEndpoint],
-                 stats: WorkloadStats, *, replicas: int = 2,
-                 vnodes: int = 64, **kwargs):
-        super().__init__(endpoints, stats, **kwargs)
-        health = ShardHealth(endpoints[0].env, self.n_shards)
-        self.directory = ReplicatedDirectory(
-            self.shard_nodes, health, replicas=replicas, vnodes=vnodes)
-
-    @property
-    def replicas(self) -> int:
-        return self.directory.replicas
-
-    @property
-    def health(self) -> ShardHealth:
-        return self.directory.health
-
-    def replica_set(self, key: int) -> tuple[int, ...]:
-        return self.directory.replica_set(key)
-
-    def __repr__(self) -> str:
-        return (f"<ReplicatedService shards={self.n_shards} "
-                f"R={self.directory.replicas} nodes={self.shard_nodes}>")
-
-
 class ReplicatedClient(ShardedClient):
     """A :class:`ShardedClient` that routes to live replicas and fails
     timed-out requests over to the next one.
@@ -193,8 +162,8 @@ class ReplicatedClient(ShardedClient):
     """
 
     def __init__(self, endpoint: RpcEndpoint,
-                 service: "ReplicatedService | ReplicatedDirectory",
-                 balancer: Balancer, keys: Iterator[int], *,
+                 directory: ReplicatedDirectory, balancer: Balancer,
+                 keys: Iterator[int], *,
                  failover_timeout_ns: int, arrivals: ArrivalSpec, seed: int,
                  n_requests: int, req_bytes: int = 64, work_ns: int = 0,
                  deadline_ns: int = 0,
@@ -203,7 +172,7 @@ class ReplicatedClient(ShardedClient):
         if failover_timeout_ns <= 0:
             raise ValueError(f"failover_timeout_ns must be positive, "
                              f"got {failover_timeout_ns}")
-        super().__init__(endpoint, service, balancer, keys,
+        super().__init__(endpoint, directory, balancer, keys,
                          arrivals=arrivals, seed=seed, n_requests=n_requests,
                          req_bytes=req_bytes, work_ns=work_ns,
                          deadline_ns=deadline_ns,
@@ -216,11 +185,11 @@ class ReplicatedClient(ShardedClient):
     def _issue(self, deadline_ns: int,
                t_intended: Optional[int] = None) -> Generator:
         key = next(self._keys)
-        replicas = self.service.replica_set(key)
-        shard = self.service.health.first_live(replicas)
+        replicas = self.directory.replica_set(key)
+        shard = self.directory.health.first_live(replicas)
         self.balancer.note_issued(shard)
         req_id, event = yield from self.endpoint.send_request(
-            self.service.shard_nodes[shard], self.work_ns, self.req_bytes,
+            self.directory.shard_nodes[shard], self.work_ns, self.req_bytes,
             deadline_ns=deadline_ns, t_intended=t_intended, shard=shard,
             key=key)
         self._routes[req_id] = (key, (shard,), deadline_ns, t_intended)
@@ -231,12 +200,12 @@ class ReplicatedClient(ShardedClient):
         """The next replica to try: first live untried shard in replica
         order, else the first untried one (it may have recovered by the
         time the retry's own clock expires), else ``None``."""
-        replicas = self.service.replica_set(key)
+        replicas = self.directory.replica_set(key)
         untried = [r for r in replicas if r not in tried]
         if not untried:
             return None
         for shard in untried:
-            if self.service.health.is_up(shard):
+            if self.directory.health.is_up(shard):
                 return shard
         return untried[0]
 
@@ -272,7 +241,7 @@ class ReplicatedClient(ShardedClient):
             self.balancer.note_issued(nxt)
             t_sent = env.now
             req_id, event = yield from endpoint.send_request(
-                self.service.shard_nodes[nxt], self.work_ns, self.req_bytes,
+                self.directory.shard_nodes[nxt], self.work_ns, self.req_bytes,
                 deadline_ns=deadline_ns, t_intended=t_intended, shard=nxt,
                 key=key, retry=True)
             self._routes[req_id] = (key, tried + (nxt,), deadline_ns,

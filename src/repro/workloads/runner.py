@@ -14,7 +14,7 @@ Workload kinds:
 
 * ``rpc`` — node 0 serves, nodes 1..n-1 run :class:`RpcClient` under the
   scenario's arrival spec.  With ``servers: N`` (N >= 2) nodes 0..N-1
-  instead run a :class:`~repro.workloads.sharding.ShardedService` and the
+  instead run one :class:`RpcServer` shard each and the
   clients route each request through the scenario's ``balancer``
   (``static`` consistent hashing, ``round_robin``, or ``least_pending``)
   over keys drawn uniform or Zipf-skewed (``key_skew``); per-shard
@@ -116,8 +116,8 @@ class Scenario:
     deadline_ns: int = 0             # request deadline budget (0 = none)
     abandon_after_ns: Optional[int] = None
     extract_budget: Optional[int] = None   # server receiver flow control
-    # -- rpc: sharding (servers >= 2 runs a ShardedService on nodes
-    # -- 0..servers-1, clients on the rest) --------------------------------
+    # -- rpc: sharding (servers >= 2 runs one RpcServer shard on each of
+    # -- nodes 0..servers-1, clients on the rest) --------------------------
     servers: int = 1
     balancer: str = "static"         # static | round_robin | least_pending
     vnodes: int = 64                 # consistent-hash ring virtual nodes

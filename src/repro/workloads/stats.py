@@ -50,8 +50,8 @@ class WorkloadStats(RunStats):
     With ``n_shards`` set, the aggregate object carries one nested
     :class:`WorkloadStats` per shard (``self.shards``), and every
     ``note_*`` call that names a ``shard`` records into both the aggregate
-    and that shard's histograms/counters — so imbalance across a
-    :class:`~repro.workloads.sharding.ShardedService` is first-class in
+    and that shard's histograms/counters — so imbalance across sharded
+    :class:`~repro.workloads.rpc.RpcServer` instances is first-class in
     the report rather than something to reconstruct from logs.
     """
 

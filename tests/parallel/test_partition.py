@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.cluster.node import Node
 from repro.hardware.params import LinkParams
 from repro.hardware.topology import switch_mesh
-from repro.parallel.partition import PartitionPlan, edge_id
+from repro.parallel.partition import (BoundaryLink, PartitionFabric,
+                                      PartitionPlan, edge_id)
+from repro.simkernel.env import Environment
 from repro.workloads.runner import MACHINES
 
 
-LINK = MACHINES["ppro"].link
+MACHINE = MACHINES["ppro"]
+LINK = MACHINE.link
 TRUNK = LinkParams(bandwidth=LINK.bandwidth, propagation_ns=8_000,
                    slots=LINK.slots)
 
@@ -84,3 +89,53 @@ class TestPartitionPlan:
         a, b = plan(), plan()
         assert a.cut_edges == b.cut_edges
         assert a.lookahead_ns == b.lookahead_ns
+
+
+class TestPartitionBuild:
+    """A partition worker's share of the machine: the serial ``Cluster``
+    and ``Fabric`` restricted to what the plan gives the partition."""
+
+    def test_cluster_builds_exactly_the_partitions_hosts(self):
+        p = plan(n_hosts=8, n_groups=4, n_partitions=2)
+        cluster = Cluster(8, MACHINE, plan=p, partition=1)
+        assert [node.node_id for node in cluster.nodes] == p.hosts_of(1)
+        assert cluster.node(5).node_id == 5      # ids stay global
+        assert cluster.n_nodes == 8
+        with pytest.raises(KeyError):
+            cluster.node(0)                       # foreign host
+
+    def test_foreign_switches_are_none_and_cuts_are_boundary_links(self):
+        p = plan(n_hosts=8, n_groups=4, n_partitions=2)
+        fabric = Cluster(8, MACHINE, plan=p, partition=0).fabric
+        assert [sw is not None for sw in fabric.switches] == [
+            True, True, False, False]
+        outbound = sorted(eid for eid, (src, _dst) in p.cut_edges.items()
+                          if p.owner(src) == 0)
+        assert sorted(link.edge_id for link in fabric.links.values()
+                      if isinstance(link, BoundaryLink)) == outbound
+
+    def test_attaching_a_foreign_host_raises(self):
+        p = plan(n_hosts=8, n_groups=4, n_partitions=2)
+        env = Environment()
+        fabric = PartitionFabric(env, p, 0, MACHINE.switch)
+        with pytest.raises(ValueError, match="host 4"):
+            fabric.attach(4, Node(env, 4, MACHINE).nic)
+
+    def test_start_needs_only_the_owned_hosts(self):
+        p = plan(n_hosts=8, n_groups=4, n_partitions=2)
+        env = Environment()
+        fabric = PartitionFabric(env, p, 1, MACHINE.switch)
+        owned = p.hosts_of(1)
+        for i in owned[:-1]:
+            fabric.attach(i, Node(env, i, MACHINE).nic)
+        with pytest.raises(RuntimeError, match=f"\\[{owned[-1]}\\]"):
+            fabric.start()
+        fabric.attach(owned[-1], Node(env, owned[-1], MACHINE).nic)
+        fabric.start()                            # hosts 0..3 never attached
+
+    def test_validation(self):
+        p = plan(n_hosts=8, n_groups=4, n_partitions=2)
+        with pytest.raises(ValueError, match="out of range"):
+            Cluster(8, MACHINE, plan=p, partition=2)
+        with pytest.raises(ValueError, match="from the plan"):
+            Cluster(8, MACHINE, topology=p.topology, plan=p, partition=0)

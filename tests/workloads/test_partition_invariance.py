@@ -43,12 +43,13 @@ class TestInvariance:
 
     def test_population_scenario_byte_identical(self):
         # A miniature of the 10^5-client preset: aggregate arrivals,
-        # 4 shards over 4 groups, 2 workers.
+        # 4 shards over 4 groups, 2 and 4 workers.
         scenario = replace(PRESETS["rpc-aggregate-100k"],
                            name="aggregate-mini", population=600,
                            rate_rps=50.0)
-        serial, p2 = reports_for(scenario, (0, 2))
-        assert serial == p2
+        # P=4 gives every worker exactly one switch.
+        serial, p2, p4 = reports_for(scenario, (0, 2, 4))
+        assert serial == p2 == p4
 
     def test_report_never_names_the_partition_count(self):
         spec = scenario_report_dict(PRESETS["rpc-partitioned"])

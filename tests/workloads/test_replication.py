@@ -14,11 +14,10 @@ from repro.workloads.arrivals import ClosedLoop
 from repro.workloads.replication import (
     ReplicatedClient,
     ReplicatedDirectory,
-    ReplicatedService,
     ShardHealth,
     ShardSupervisor,
 )
-from repro.workloads.rpc import RpcEndpoint
+from repro.workloads.rpc import RpcEndpoint, RpcServer
 from repro.workloads.runner import (
     PRESET_PLANS,
     PRESETS,
@@ -39,19 +38,28 @@ def build_cluster(n_shards=2, plan=None, n_extra=1):
     return cluster, stats, endpoints
 
 
-def build_client(endpoints, service, node, keys, **overrides):
+def start_shards(cluster, stats, endpoints, n_shards=2):
+    """One single-worker :class:`RpcServer` shard on each of nodes
+    ``0..n_shards-1``; returns the R=2 directory clients route by."""
+    for shard in range(n_shards):
+        RpcServer(endpoints[shard], stats, workers=1, shard=shard).start()
+    return ReplicatedDirectory(list(range(n_shards)),
+                               ShardHealth(cluster.env, n_shards))
+
+
+def build_client(endpoints, directory, node, keys, **overrides):
     spec = dict(arrivals=ClosedLoop(0), seed=7, n_requests=4,
                 failover_timeout_ns=50_000)
     spec.update(overrides)
     return ReplicatedClient(
-        endpoints[node], service,
-        make_balancer("static", service.n_shards), iter(keys), **spec)
+        endpoints[node], directory,
+        make_balancer("static", directory.n_shards), iter(keys), **spec)
 
 
-def key_with_primary(service, primary: int) -> int:
+def key_with_primary(directory, primary: int) -> int:
     """A key whose replica set starts at ``primary``."""
     for key in range(10_000):
-        if service.replica_set(key)[0] == primary:
+        if directory.replica_set(key)[0] == primary:
             return key
     raise AssertionError("no key found")  # pragma: no cover
 
@@ -116,10 +124,9 @@ class TestFailoverExactlyOnce:
         plan = FaultPlan(seed=1, episodes=(
             NicStall(node=0, extra_ns=10**9),))
         cluster, stats, endpoints = build_cluster(plan=plan)
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
-        key = key_with_primary(service, 0)
-        client = build_client(endpoints, service, 2,
+        directory = start_shards(cluster, stats, endpoints)
+        key = key_with_primary(directory, 0)
+        client = build_client(endpoints, directory, 2,
                               itertools.repeat(key), n_requests=3)
         cluster.run([None, None, lambda node: client.run()])
 
@@ -143,10 +150,9 @@ class TestFailoverExactlyOnce:
         plan = FaultPlan(seed=1, episodes=(
             NicStall(node=0, extra_ns=40_000),))
         cluster, stats, endpoints = build_cluster(plan=plan)
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
-        key = key_with_primary(service, 0)
-        client = build_client(endpoints, service, 2,
+        directory = start_shards(cluster, stats, endpoints)
+        key = key_with_primary(directory, 0)
+        client = build_client(endpoints, directory, 2,
                               itertools.repeat(key), n_requests=3,
                               failover_timeout_ns=25_000)
         cluster.run([None, None, lambda node: client.run()])
@@ -168,10 +174,9 @@ class TestFailoverExactlyOnce:
             NicStall(node=0, extra_ns=10**9),
             NicStall(node=1, extra_ns=10**9)))
         cluster, stats, endpoints = build_cluster(plan=plan)
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
-        key = key_with_primary(service, 0)
-        client = build_client(endpoints, service, 2,
+        directory = start_shards(cluster, stats, endpoints)
+        key = key_with_primary(directory, 0)
+        client = build_client(endpoints, directory, 2,
                               itertools.repeat(key), n_requests=3,
                               failover_timeout_ns=30_000,
                               abandon_after_ns=30_000)
@@ -191,11 +196,10 @@ class TestFailoverExactlyOnce:
         # With the primary marked down up front, clients route straight
         # to the backup: no failover, no retry, no timeout paid.
         cluster, stats, endpoints = build_cluster()
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
-        key = key_with_primary(service, 0)
-        service.health.mark_down(0, "test")
-        client = build_client(endpoints, service, 2,
+        directory = start_shards(cluster, stats, endpoints)
+        key = key_with_primary(directory, 0)
+        directory.health.mark_down(0, "test")
+        client = build_client(endpoints, directory, 2,
                               itertools.repeat(key), n_requests=3)
         cluster.run([None, None, lambda node: client.run()])
 
@@ -228,10 +232,9 @@ class TestShardSupervisor:
             NicStall(node=0, start_ns=100_000, end_ns=400_000,
                      extra_ns=400_000),))
         cluster, stats, endpoints = build_supervised(plan=plan)
-        service = ReplicatedService(endpoints[:2], stats, workers=1)
-        service.start()
+        directory = start_shards(cluster, stats, endpoints)
         supervisor = ShardSupervisor(
-            endpoints[2], service.directory,
+            endpoints[2], directory,
             probe_interval_ns=50_000, probe_timeout_ns=40_000)
         supervisor.start()
 
@@ -240,11 +243,11 @@ class TestShardSupervisor:
 
         cluster.run([None, None, clock])
         edges = [(shard, state, reason)
-                 for _t, shard, state, reason in service.health.transitions]
+                 for _t, shard, state, reason in directory.health.transitions]
         assert (0, "down", "probe_timeout") in edges
         assert (0, "up", "probe_ok") in edges
-        assert service.health.is_up(0)
-        assert service.health.is_up(1)
+        assert directory.health.is_up(0)
+        assert directory.health.is_up(1)
         assert supervisor.probes_timed_out >= 1
         assert supervisor.probes_ok >= 2
         # Probe traffic is accounted in the supervisor's own stats, never
