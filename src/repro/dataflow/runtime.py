@@ -67,7 +67,7 @@ from repro.dataflow.stats import PipelineStats, StageStats
 
 from repro.simkernel.store import Store
 
-# repro.workloads.arrivals is imported lazily inside SourceRuntime.run:
+# repro.workloads.arrivals is imported lazily inside SourceRuntime:
 # importing it at module level would pull repro.workloads.__init__ (and
 # with it the scenario runner, which imports this package) into every
 # ``import repro.dataflow`` — a circular import when the dataflow side
@@ -275,21 +275,22 @@ class SourceRuntime(StageRuntime):
 
     def __init__(self, *args, arrivals, seed: int,
                  n_records: int, n_keys: int, **kwargs):
+        from repro.workloads.arrivals import client_rng, gap_stream
+
         super().__init__(*args, **kwargs)
         if n_records < 1:
             raise ValueError(f"n_records must be positive, got {n_records}")
-        self.arrivals = arrivals
-        self.seed = seed
         self.n_records = n_records
         self.n_keys = n_keys
+        # Built here, not in run(): the streams load numpy, and that import
+        # belongs before the run's first event.
+        name = self.spec.name
+        self._gaps = gap_stream(arrivals, seed, name)
+        self._rng = client_rng(seed, f"{name}.records")
 
     def run(self) -> Generator:
-        from repro.workloads.arrivals import client_rng, gap_stream
-
         env = self.env
-        name = self.spec.name
-        gaps = gap_stream(self.arrivals, self.seed, name)
-        rng = client_rng(self.seed, f"{name}.records")
+        gaps, rng = self._gaps, self._rng
         t_next = env.now
         for _ in range(self.n_records):
             t_next += next(gaps)

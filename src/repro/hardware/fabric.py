@@ -95,10 +95,8 @@ class Fabric:
             raise RuntimeError(f"host {host_id} already attached")
         topo = self.topology
         hnode = host_node(host_id)
-        (neighbor,) = list(topo.graph.neighbors(hnode))
-        kind, j = neighbor
-        if kind != "s":
-            raise ValueError(f"host {host_id} is not connected to a switch")
+        j = topo.switch_of(host_id)
+        neighbor = switch_node(j)
         sw = self.switches[j]
         port = topo.switch_port_of(j, hnode)
         # Host -> switch.

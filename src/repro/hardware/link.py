@@ -30,8 +30,6 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.simkernel.store import Store
 from repro.simkernel.units import transfer_time_ns
 
@@ -39,6 +37,8 @@ from repro.hardware.packet import CORRUPT, Packet
 from repro.hardware.params import LinkParams
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.simkernel.env import Environment
 
 
@@ -59,8 +59,9 @@ class Link:
         self.bytes: int = 0
         self.corrupted: int = 0
         self.dropped: int = 0
-        # Deterministic per-link RNG; only consulted when error injection is on.
-        self._rng = np.random.default_rng(zlib.crc32(name.encode()) & 0xFFFFFFFF)
+        # Deterministic per-link RNG, built on the first draw: only error
+        # injection consults it.
+        self._rng: Optional[np.random.Generator] = None
 
     def connect(self, target: Store) -> None:
         """Set the downstream input store packets are delivered into."""
@@ -125,12 +126,12 @@ class Link:
         """
         params = self.params
         dropped = False
-        if params.drop_rate > 0.0 and self._rng.random() < params.drop_rate:
+        if params.drop_rate > 0.0 and self._random() < params.drop_rate:
             dropped = True
         if params.bit_error_rate > 0.0 and not dropped:
             bits = packet.wire_bytes * 8
             p_error = 1.0 - (1.0 - params.bit_error_rate) ** bits
-            if self._rng.random() < p_error:
+            if self._random() < p_error:
                 packet.header.flags |= CORRUPT
                 self.corrupted += 1
         faults = self.env.faults
@@ -150,6 +151,15 @@ class Link:
                          track=f"fabric/{self.name}", src=packet.header.src,
                          dest=packet.header.dest, seq=packet.header.seq)
         return dropped
+
+    def _random(self) -> float:
+        """One uniform draw from the link's own stream."""
+        if self._rng is None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(
+                zlib.crc32(self.name.encode()) & 0xFFFFFFFF)
+        return self._rng.random()
 
     def __repr__(self) -> str:
         return (f"<Link {self.name!r} packets={self.packets} "

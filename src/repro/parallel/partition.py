@@ -40,7 +40,7 @@ from repro.hardware.fabric import Fabric
 from repro.hardware.link import Link
 from repro.hardware.packet import Packet
 from repro.hardware.params import LinkParams, SwitchParams
-from repro.hardware.topology import GraphNode, Topology, host_node, switch_node
+from repro.hardware.topology import GraphNode, Topology, switch_node
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.env import Environment
@@ -109,8 +109,7 @@ class PartitionPlan:
         return j * self.n_partitions // self.topology.n_switches
 
     def host_partition(self, i: int) -> int:
-        (neighbor,) = list(self.topology.graph.neighbors(host_node(i)))
-        return self.switch_partition(neighbor[1])
+        return self.switch_partition(self.topology.switch_of(i))
 
     def owner(self, node: GraphNode) -> int:
         kind, idx = node

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-import numpy as np
-
 from repro.upper.mpi.comm import Communicator
 
 from repro.workloads.stats import WorkloadStats
@@ -86,6 +84,9 @@ def allreduce_program(comm: Communicator, *, iterations: int,
     if grad_bytes < 4 or grad_bytes % 4:
         raise ValueError(f"grad_bytes must be a positive multiple of 4, "
                          f"got {grad_bytes}")
+    # Imported here, when the program is built, so the import never lands
+    # inside the simulated run.
+    import numpy as np
 
     def program() -> Generator:
         env = comm.engine.env

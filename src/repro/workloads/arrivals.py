@@ -28,19 +28,25 @@ traffic, and adding a client never shifts another client's draws.
   simulated clients; gaps are drawn in NumPy batches (one RNG call per
   ``batch`` arrivals) instead of one Python-level draw per request, which
   is what makes population-scale scenarios affordable.
+
+numpy is imported by :func:`client_rng` and the batched generator, not by
+this module: building a stream loads it, before the run's first event.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def client_rng(seed: int, client: str) -> np.random.Generator:
     """The deterministic RNG stream for one client of one scenario."""
+    import numpy as np
+
     return np.random.default_rng((seed, zlib.crc32(client.encode())))
 
 
@@ -177,6 +183,8 @@ def _bursty_gaps(spec: Bursty, rng: np.random.Generator) -> Iterator[int]:
 
 def _aggregate_gaps(spec: AggregateOpenLoop,
                     rng: np.random.Generator) -> Iterator[int]:
+    import numpy as np
+
     mean = spec.mean_gap_ns
     if not spec.poisson:
         gap = max(1, round(mean))

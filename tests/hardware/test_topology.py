@@ -1,15 +1,17 @@
 """Topologies: builders, port numbering, source routes."""
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.hardware import topology
 from repro.hardware.topology import (
+    Graph,
     Topology,
     fat_tree_2level,
     host_node,
     single_switch,
     switch_chain,
+    switch_mesh,
     switch_node,
 )
 
@@ -46,7 +48,7 @@ class TestBuilders:
 
 class TestValidation:
     def test_host_needs_one_link(self):
-        g = nx.Graph()
+        g = Graph()
         g.add_edge(host_node(0), switch_node(0))
         g.add_edge(host_node(0), switch_node(1))
         g.add_edge(host_node(1), switch_node(0))
@@ -55,14 +57,14 @@ class TestValidation:
             Topology(g, n_hosts=2, n_switches=2)
 
     def test_disconnected_rejected(self):
-        g = nx.Graph()
+        g = Graph()
         g.add_edge(host_node(0), switch_node(0))
         g.add_edge(host_node(1), switch_node(1))
         with pytest.raises(ValueError, match="connected"):
             Topology(g, n_hosts=2, n_switches=2)
 
     def test_missing_host_rejected(self):
-        g = nx.Graph()
+        g = Graph()
         g.add_edge(host_node(0), switch_node(0))
         with pytest.raises(ValueError, match="missing"):
             Topology(g, n_hosts=2, n_switches=1)
@@ -130,7 +132,7 @@ def test_every_route_is_walkable(topo, data):
         assert route == []
         return
     # Walk: start at src's switch, follow each port choice.
-    position = next(iter(topo.graph.neighbors(host_node(src))))
+    position = switch_node(topo.switch_of(src))
     for hop, port in enumerate(route):
         kind, idx = position
         assert kind == "s"
@@ -138,3 +140,65 @@ def test_every_route_is_walkable(topo, data):
         assert 0 <= port < len(neighbors)
         position = neighbors[port]
     assert position == host_node(dst)
+
+
+def oracle_grid():
+    """Every builder over a grid of sizes: ``(builder, args)`` pairs."""
+    for n in range(2, 40):
+        yield single_switch, (n,)
+        for per_switch in range(1, 9):
+            yield switch_chain, (n, per_switch)
+    for groups in range(1, 9):
+        for n in range(max(2, groups), 64, groups):
+            yield switch_mesh, (n, groups)
+    for leaves in range(1, 7):
+        for per_leaf in range(1, 7):
+            for spines in range(1, 5):
+                if leaves * per_leaf >= 2:
+                    yield fat_tree_2level, (leaves, per_leaf, spines)
+
+
+@pytest.mark.parametrize("builder", [single_switch, switch_chain,
+                                     switch_mesh, fat_tree_2level],
+                         ids=lambda b: b.__name__)
+def test_routes_match_networkx(builder, monkeypatch):
+    """Every host pair routes exactly as networkx's shortest_path would
+    on the same edge sequence, fat-tree ties between spines included."""
+    nx = pytest.importorskip("networkx")
+    for build, args in oracle_grid():
+        if build is not builder:
+            continue
+        ours = build(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, "Graph", nx.Graph)
+            reference = build(*args).graph
+        for j in range(ours.n_switches):
+            assert ours.switch_neighbors(j) == sorted(
+                reference.neighbors(switch_node(j)))
+        for src in range(ours.n_hosts):
+            for dst in range(ours.n_hosts):
+                assert ours.path(src, dst) == nx.shortest_path(
+                    reference, host_node(src), host_node(dst)), (
+                        build.__name__, args, src, dst)
+
+
+class TestGraph:
+    def test_neighbours_in_insertion_order(self):
+        g = Graph()
+        g.add_edge(switch_node(0), host_node(2))
+        g.add_edge(switch_node(0), host_node(1))
+        g.add_edge(host_node(1), switch_node(0))
+        assert list(g.neighbors(switch_node(0))) == [host_node(2), host_node(1)]
+        assert g.degree(switch_node(0)) == 2
+        assert host_node(1) in g and host_node(3) not in g
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph().add_edge(switch_node(0), switch_node(0))
+
+    def test_empty_graph_is_not_connected(self):
+        assert not topology.is_connected(Graph())
+
+    def test_switch_of(self):
+        topo = switch_chain(6, hosts_per_switch=2)
+        assert [topo.switch_of(i) for i in range(6)] == [0, 0, 1, 1, 2, 2]
